@@ -155,7 +155,7 @@ func benchSwarmShared(budget int64) (bench.Scenario, error) {
 			s.Close()
 		}
 	}()
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, ShareVisited: true},
+	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, Shared: visited.NewSet(nil)},
 		func(seed int64) (mc.Config, error) {
 			memCfg := memmodel.DefaultConfig()
 			s, err := NewSession(Options{

@@ -319,30 +319,14 @@ func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
 	}()
 	// A reduced backend or an armed budget means one swarm-wide governed
 	// table (sharing implied), mirroring the facade's SwarmRun wiring.
-	var sharedTbl *mc.SharedVisited
-	kind := visited.Kind(cfg.Visited)
-	if kind == "" {
-		kind = visited.KindExact
+	shared, err := newVisitedSet(cfg.Visited, cfg.BitstateBytes, cfg.MemBudget, share, visited.Hooks{})
+	if err != nil {
+		return 0, 0, err
 	}
-	if kind != visited.KindExact || cfg.MemBudget > 0 {
-		tbl, err := visited.NewTable(kind, cfg.BitstateBytes)
-		if err != nil {
-			return 0, 0, err
-		}
-		sharedTbl = mc.NewSharedVisitedTable(tbl)
-		if cfg.MemBudget > 0 {
-			bb := cfg.BitstateBytes
-			if bb <= 0 {
-				bb = cfg.MemBudget / 4
-			}
-			sharedTbl.Govern(visited.GovernorConfig{BitstateBytes: bb})
-		}
-	}
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, ShareVisited: share, Shared: sharedTbl,
+	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, Shared: shared,
 		Journal: jw, Stream: cfg.Stream},
 		func(seed int64) (mc.Config, error) {
 			o := calOptions(seed)
-			o.swarmShared = sharedTbl != nil
 			if seed == 1 {
 				// The hub and profiler rebase onto one session's virtual
 				// clock, so only the first worker carries them.

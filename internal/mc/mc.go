@@ -16,15 +16,14 @@
 // trail, matching the paper's reproducible bug reports; Replay re-runs a
 // trail from a fresh state to confirm it. SwarmRun (swarm.go) runs
 // several diversified engines as a coordinated parallel swarm: a shared
-// cancellation token stops every worker at the first bug, and an
-// optional shared visited table prunes states peers already expanded.
+// cancellation token stops every worker at the first bug, and workers
+// may visit through one visited.Set, pruning states peers already
+// expanded.
 package mc
 
 import (
-	"bytes"
 	"fmt"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"mcfs/internal/checker"
@@ -94,12 +93,14 @@ type Config struct {
 	// Canceled set. The engine fires the token itself when it finds a
 	// bug, so coordinated peers stop without waiting for Run to return.
 	Cancel *Cancel
-	// SharedVisited, when set, replaces the engine-local visited table
-	// with a table shared across swarm workers: states any worker has
-	// expanded are pruned swarm-wide, and UniqueStates counts only the
-	// states this worker was the first to discover. Result.Resume is nil
-	// in this mode — export the shared table instead (SwarmRun does).
-	SharedVisited *SharedVisited
+	// Visited, when set, is the visited table the engine visits through
+	// instead of building its own: one shared across swarm workers, or a
+	// session's reduced-fidelity or governed table. Its owner attaches
+	// memory models (visited.Set.AttachMem) and exports it for resume:
+	// Result.Resume is nil, and UniqueStates counts only the states this
+	// engine was the first to discover. When nil, Run builds an exact
+	// table of its own and exports it as Result.Resume.
+	Visited *visited.Set
 	// Journal, when set, is the flight recorder: every operation the
 	// engine explores (with per-target errnos, the abstract state hash
 	// reached, and the visited-table decision), every backtrack, and any
@@ -298,39 +299,55 @@ func (r *ResumeState) UniqueStates() int64 {
 	return int64(len(r.States))
 }
 
-// sortByState orders the paired States/Depths slices by state bytes.
-// Resume sets are filled from visited-table maps; without this sort the
-// serialized bytes of a resume file would differ between identical runs
-// (map iteration order), breaking byte-for-byte reproducibility of run
-// artifacts.
-func (r *ResumeState) sortByState() {
-	sort.Sort(resumeByState{r})
-}
-
-type resumeByState struct{ r *ResumeState }
-
-func (s resumeByState) Len() int { return len(s.r.States) }
-func (s resumeByState) Less(i, j int) bool {
-	return bytes.Compare(s.r.States[i][:], s.r.States[j][:]) < 0
-}
-func (s resumeByState) Swap(i, j int) {
-	s.r.States[i], s.r.States[j] = s.r.States[j], s.r.States[i]
-	if len(s.r.Depths) == len(s.r.States) {
-		s.r.Depths[i], s.r.Depths[j] = s.r.Depths[j], s.r.Depths[i]
+// SeedVisited preloads s with an earlier run's visited knowledge. Seeded
+// states are prior knowledge, not discoveries: they are pruned like any
+// visited state but never counted in NovelCount, and seeding a state
+// twice keeps its shallowest depth. A nil r seeds nothing.
+func SeedVisited(s *visited.Set, r *ResumeState) {
+	if r == nil {
+		return
 	}
+	for i, st := range r.States {
+		depth := 0
+		if i < len(r.Depths) {
+			depth = r.Depths[i]
+		}
+		s.Seed(st, depth)
+	}
+}
+
+// ExportVisited snapshots s as a ResumeState ordered by state bytes, so
+// identical runs serialize identical resume files. A reduced-fidelity
+// table has discarded the full state keys and returns
+// visited.ErrNoExport instead of a silently partial set.
+func ExportVisited(s *visited.Set) (*ResumeState, error) {
+	entries, err := s.Export()
+	if err != nil {
+		return nil, err
+	}
+	r := &ResumeState{
+		States: make([]abstraction.State, len(entries)),
+		Depths: make([]int, len(entries)),
+	}
+	for i, en := range entries {
+		r.States[i], r.Depths[i] = en.State, en.Depth
+	}
+	return r, nil
 }
 
 type engine struct {
 	cfg Config
 	ops []workload.Op
-	// visited maps each abstract state to the shallowest depth it has
-	// been expanded at. Depth-bounded DFS must re-expand a state reached
-	// at a shallower depth than before, or successors reachable only
-	// within the remaining budget are silently missed (Spin handles
+	// visited records each abstract state with the shallowest depth it
+	// has been expanded at (Config.Visited, or a table Run built when
+	// ownVisited is set). Depth-bounded DFS must re-expand a state
+	// reached at a shallower depth than before, or successors reachable
+	// only within the remaining budget are silently missed (Spin handles
 	// bounded DFS the same way).
-	visited map[abstraction.State]int
-	trail   []workload.Op
-	nextKey uint64
+	visited    *visited.Set
+	ownVisited bool
+	trail      []workload.Op
+	nextKey    uint64
 
 	executed  int64
 	unique    int64
@@ -343,7 +360,7 @@ type engine struct {
 	rng       uint64
 
 	// retained is the concrete-state bytes stored for visited-state
-	// matching in shared exact mode — released in one step when the
+	// matching in an injected exact table — released in one step when the
 	// governor downgrades the table (reduced backends retain no
 	// concrete states; that release is the degradation's memory win).
 	retained int64
@@ -469,9 +486,12 @@ func Run(cfg Config) Result {
 	e := &engine{
 		cfg:      cfg,
 		ops:      cfg.Pool.Enumerate(),
-		visited:  make(map[abstraction.State]int),
+		visited:  cfg.Visited,
 		coverage: newCoverage(),
 		rng:      uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
+	}
+	if e.visited == nil {
+		e.visited, e.ownVisited = visited.NewSet(nil), true
 	}
 	if cfg.Obs != nil {
 		e.eobs = &engineObs{
@@ -496,70 +516,14 @@ func Run(cfg Config) Result {
 		e.crashSeen = make(map[string]bool)
 		e.heatmap = stream.NewHeatmap()
 	}
-	if cfg.SharedVisited != nil {
-		// Shared-table mode: resumed knowledge seeds the swarm-wide
-		// table (idempotent — peers may seed the same states).
-		cfg.SharedVisited.Seed(cfg.Resume)
-	} else if cfg.Resume != nil {
-		for i, st := range cfg.Resume.States {
-			depth := 0
-			if i < len(cfg.Resume.Depths) {
-				depth = cfg.Resume.Depths[i]
-			}
-			e.visited[st] = depth
-		}
-	}
-	res := Result{}
-	if cfg.EqualizeFreeSpace {
-		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
-			res.Err = fmt.Errorf("mc: equalizing free space: %w", er)
-			return res
-		}
-	}
-	// Hash and record the initial state. A resumed run (or a swarm peer
-	// racing us to the shared table) may already know it: count it as a
-	// unique discovery — and charge its visit cost — only when it is
-	// genuinely new.
-	h, er := cfg.Checker.StateHash()
-	if er != errno.OK {
-		res.Err = fmt.Errorf("mc: hashing initial state: %w", er)
-		return res
-	}
-	e.curHash = h
-	novel := true
-	if cfg.SharedVisited != nil {
-		novel, _ = cfg.SharedVisited.Visit(h, 0)
-	} else {
-		_, seen := e.visited[h]
-		novel = !seen
-		e.visited[h] = 0
-	}
-	if novel {
-		e.unique++
-		if e.eobs != nil {
-			e.eobs.misses.Inc()
-		}
-		e.visitCost()
-	}
-	if cfg.Journal.Enabled() {
-		names := make([]string, 0, len(cfg.Checker.Targets()))
-		for _, t := range cfg.Checker.Targets() {
-			names = append(names, t.Name)
-		}
-		cfg.Journal.Meta(journal.Meta{
-			Version:   journal.Version,
-			Seed:      cfg.Seed,
-			MaxDepth:  cfg.MaxDepth,
-			MaxOps:    cfg.MaxOps,
-			MaxStates: cfg.MaxStates,
-			Targets:   names,
-			Equalize:  cfg.EqualizeFreeSpace,
-			Majority:  cfg.MajorityVote,
-			InitState: fmt.Sprintf("%x", h[:]),
-		})
-	}
+	// Resumed knowledge seeds the table (idempotent: swarm peers sharing
+	// it may seed the same states).
+	SeedVisited(e.visited, cfg.Resume)
 
-	err := e.explore()
+	err := e.begin()
+	if err == nil {
+		err = e.explore()
+	}
 	if err == nil && e.oomed {
 		// The memory model refused a store and no governor could
 		// relieve it. Finalize as a structured failure — counters,
@@ -568,18 +532,18 @@ func Run(cfg Config) Result {
 		err = &OOMError{Ops: e.executed, UniqueStates: e.unique}
 	}
 
-	res.Ops = e.executed
-	res.UniqueStates = e.unique
-	res.Revisits = e.revisits
-	res.Bug = e.bug
-	res.Err = err
-	res.Canceled = e.canceled
-	if cfg.SharedVisited != nil {
-		res.Fidelity = cfg.SharedVisited.Fidelity()
-		res.OmissionProb = cfg.SharedVisited.Omission()
+	res := Result{
+		Ops:          e.executed,
+		UniqueStates: e.unique,
+		Revisits:     e.revisits,
+		Bug:          e.bug,
+		Err:          err,
+		Canceled:     e.canceled,
+		Coverage:     e.coverage,
+		Fidelity:     e.visited.Fidelity(),
+		OmissionProb: e.visited.Omission(),
 	}
 	res.finalize(clock.Now() - start)
-	res.Coverage = e.coverage
 	if cfg.Crash != nil {
 		res.Crash = e.crashStats
 		for i := range cfg.Crash.Planes {
@@ -620,19 +584,54 @@ func Run(cfg Config) Result {
 		}
 		cfg.Journal.Done(done)
 	}
-	if cfg.SharedVisited == nil {
-		resume := &ResumeState{
-			States: make([]abstraction.State, 0, len(e.visited)),
-			Depths: make([]int, 0, len(e.visited)),
-		}
-		for st, depth := range e.visited {
-			resume.States = append(resume.States, st)
-			resume.Depths = append(resume.Depths, depth)
-		}
-		resume.sortByState()
-		res.Resume = resume
+	if e.ownVisited {
+		res.Resume, res.ResumeErr = ExportVisited(e.visited)
 	}
 	return res
+}
+
+// begin prepares the search root: free-space equalization, then the
+// initial state's hash, visit, and journal meta record. A resumed run
+// (or a swarm peer racing us to a shared table) may already know the
+// initial state: it counts as a unique discovery — and is charged its
+// visit cost — only when it is genuinely new.
+func (e *engine) begin() error {
+	cfg := e.cfg
+	if cfg.EqualizeFreeSpace {
+		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
+			return fmt.Errorf("mc: equalizing free space: %w", er)
+		}
+	}
+	h, er := cfg.Checker.StateHash()
+	if er != errno.OK {
+		return fmt.Errorf("mc: hashing initial state: %w", er)
+	}
+	e.curHash = h
+	if novel, _ := e.visited.Visit(h, 0); novel {
+		e.unique++
+		if e.eobs != nil {
+			e.eobs.misses.Inc()
+		}
+		e.visitCost()
+	}
+	if cfg.Journal.Enabled() {
+		names := make([]string, 0, len(cfg.Checker.Targets()))
+		for _, t := range cfg.Checker.Targets() {
+			names = append(names, t.Name)
+		}
+		cfg.Journal.Meta(journal.Meta{
+			Version:   journal.Version,
+			Seed:      cfg.Seed,
+			MaxDepth:  cfg.MaxDepth,
+			MaxOps:    cfg.MaxOps,
+			MaxStates: cfg.MaxStates,
+			Targets:   names,
+			Equalize:  cfg.EqualizeFreeSpace,
+			Majority:  cfg.MajorityVote,
+			InitState: fmt.Sprintf("%x", h[:]),
+		})
+	}
+	return nil
 }
 
 // PanicError is a target (or tracker/checker) panic converted into an
@@ -754,16 +753,12 @@ func (e *engine) storeStateCost() {
 	}
 }
 
-// relieveMem asks the shared table's governor for emergency relief
-// after a refused store: one fidelity downgrade, plus the release of
-// every concrete state retained for exact matching. Reports whether
+// relieveMem asks the visited table's governor (if any) for emergency
+// relief after a refused store: one fidelity downgrade, plus the release
+// of every concrete state retained for exact matching. Reports whether
 // anything was freed (the caller's next store should succeed).
 func (e *engine) relieveMem() bool {
-	sv := e.cfg.SharedVisited
-	if sv == nil {
-		return false
-	}
-	if !sv.Governor().Relieve(e.cfg.Mem) {
+	if !e.visited.Governor().Relieve(e.cfg.Mem) {
 		return false
 	}
 	e.releaseRetained()
@@ -788,18 +783,19 @@ func (e *engine) fetchStateCost() {
 }
 
 // visitCost charges the memory footprint of recording a newly visited
-// state: a hash-table entry plus the concrete state retained for
-// backtracking (Spin's c_track'd buffers live for the whole run, which is
-// why the paper's long runs eventually spill to swap). With a shared
-// swarm table the per-entry growth is charged by SharedVisited.Visit to
-// every attached model instead (one table in one address space), so only
-// the concrete-state retention is charged here.
+// state: a table entry plus the concrete state retained for backtracking
+// (Spin's c_track'd buffers live for the whole run, which is why the
+// paper's long runs eventually spill to swap). One rule places the entry:
+// a table Run built is the engine's alone and grows the model's own hash
+// table (InsertVisited, with its Figure 3 resize dynamics); an injected
+// table bills its growth to every attached model itself
+// (visited.Set.AttachMem — one table in one address space), so only the
+// concrete-state retention is charged here.
 func (e *engine) visitCost() {
 	if e.cfg.Mem == nil {
 		return
 	}
-	sv := e.cfg.SharedVisited
-	if sv == nil {
+	if e.ownVisited {
 		e.cfg.Mem.InsertVisited()
 		if err := e.cfg.Mem.Store(e.stateBytes()); err != nil {
 			e.oomed = true
@@ -808,8 +804,8 @@ func (e *engine) visitCost() {
 	}
 	// Give the governor a look before committing more memory; it may
 	// evict or downgrade preemptively at the watermarks.
-	sv.Governor().Maybe(e.cfg.Mem)
-	if sv.Fidelity() != visited.FidelityExact {
+	e.visited.Governor().Maybe(e.cfg.Mem)
+	if e.visited.Fidelity() != visited.FidelityExact {
 		// Reduced fidelity retains no concrete states — the table keeps
 		// fingerprints or bits only. Releasing the exact-era pool here
 		// (once, lazily) is the downgrade's memory payoff.
@@ -926,17 +922,7 @@ func (e *engine) dfs(depth int) error {
 			// Visited-state matching: prune if this state was already
 			// expanded at this depth or shallower — by this engine, or
 			// by any swarm peer when the table is shared.
-			var novel, expand bool
-			if e.cfg.SharedVisited != nil {
-				novel, expand = e.cfg.SharedVisited.Visit(h, childDepth)
-			} else {
-				prevDepth, seen := e.visited[h]
-				novel = !seen
-				expand = !seen || prevDepth > childDepth
-				if expand {
-					e.visited[h] = childDepth
-				}
-			}
+			novel, expand := e.visited.Visit(h, childDepth)
 			if e.cfg.Journal.Enabled() {
 				jt := e.cfg.Perf.Start(perf.PhaseJournal)
 				e.cfg.Journal.Op(depth, journal.EncodeOp(op), e.lastErrnos,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mcfs"
+	"mcfs/internal/memmodel"
 	"mcfs/internal/workload"
 )
 
@@ -303,6 +304,50 @@ func TestRunWithMemoryModel(t *testing.T) {
 	}
 	if stats.SwapBytes == 0 {
 		t.Error("tiny RAM budget but no swap used")
+	}
+}
+
+// TestVisitedChargingRule pins where a visited entry is billed. A table
+// the engine built itself grows the model's own hash table (Entries,
+// the Figure 3 resize dynamics) and nothing else; an injected table — a
+// budgeted session's governed one — is billed through the set's ledger
+// (SharedVisitedBytes) and never grows the model's own table.
+func TestVisitedChargingRule(t *testing.T) {
+	run := func(opts mcfs.Options) (mcfs.Result, memmodel.Stats) {
+		opts.Targets = []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}}
+		opts.MaxDepth = 3
+		opts.MaxOps = 300
+		s, err := mcfs.NewSession(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		res := s.Run()
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if res.UniqueStates == 0 {
+			t.Fatal("run discovered no states")
+		}
+		return res, s.MemoryStats()
+	}
+
+	memCfg := mcfs.DefaultMemoryConfig()
+	res, st := run(mcfs.Options{Memory: &memCfg})
+	if st.Entries != res.UniqueStates || st.SharedVisitedBytes != 0 {
+		t.Errorf("engine-owned table: Entries=%d SharedVisitedBytes=%d, want %d/0",
+			st.Entries, st.SharedVisitedBytes, res.UniqueStates)
+	}
+
+	// A budget far above the run's footprint injects a governed table
+	// that never degrades, so every novel state stays billed.
+	res, st = run(mcfs.Options{MemBudget: 1 << 30})
+	if res.Fidelity != mcfs.FidelityExact {
+		t.Fatalf("generous budget degraded the table to %v", res.Fidelity)
+	}
+	if want := res.UniqueStates * memmodel.SharedVisitedEntryBytes; st.Entries != 0 || st.SharedVisitedBytes != want {
+		t.Errorf("injected table: Entries=%d SharedVisitedBytes=%d, want 0/%d (%d novel x %d bytes)",
+			st.Entries, st.SharedVisitedBytes, want, res.UniqueStates, memmodel.SharedVisitedEntryBytes)
 	}
 }
 

@@ -7,6 +7,7 @@ package mc_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"mcfs"
@@ -228,5 +229,57 @@ func TestSwarmStreamMergesHealthAndHeatmap(t *testing.T) {
 	}
 	if len(sawWorker) != workers {
 		t.Errorf("events seen from %d workers, want all %d", len(sawWorker), workers)
+	}
+}
+
+// TestEarlyFailureDrainsWorker: a run that fails before exploring — the
+// free-space equalization or the initial state hash hits an unmounted
+// target — must still drain its worker with status "failed", so
+// /workers and -top stop reporting it as running.
+func TestEarlyFailureDrainsWorker(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		noEqual  bool
+		wantFail string
+	}{
+		{"equalize", false, "equalizing free space"},
+		{"initial-hash", true, "hashing initial state"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bus := mcfs.NewStream()
+			sub := bus.Subscribe(1 << 10)
+			defer sub.Close()
+			s, err := mcfs.NewSession(mcfs.Options{
+				Targets:                  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+				MaxDepth:                 2,
+				DisableEqualizeFreeSpace: c.noEqual,
+				Stream:                   bus,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Kernel().Unmount("/mnt0"); err != nil {
+				t.Fatal(err)
+			}
+			res := s.Run()
+			if res.Err == nil || !strings.Contains(res.Err.Error(), c.wantFail) {
+				t.Fatalf("Run error = %v, want %q", res.Err, c.wantFail)
+			}
+			events := sub.Drain()
+			if len(events) == 0 {
+				t.Fatal("no stream events")
+			}
+			if last := events[len(events)-1]; last.Kind != stream.KindWorkerDrain || last.Detail != "failed" {
+				t.Errorf("last event = %+v, want worker-drain failed", last)
+			}
+			h := bus.Workers()
+			if len(h.Workers) != 1 {
+				t.Fatalf("health view has %d workers, want 1", len(h.Workers))
+			}
+			if w := h.Workers[0]; w.Status != stream.WorkerDone || w.Detail != "failed" {
+				t.Errorf("worker status %q detail %q, want %q/failed", w.Status, w.Detail, stream.WorkerDone)
+			}
+		})
 	}
 }

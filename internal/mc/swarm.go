@@ -6,11 +6,11 @@
 //   - Cancel, a context-style cancellation token polled by every engine
 //     between operations, so all workers stop promptly when any worker
 //     finds a bug, fails, or the caller aborts.
-//   - SharedVisited, a sharded visited-state table with striped mutexes
-//     keyed on abstract state hashes. Workers that share one prune
-//     subtrees their peers already expanded instead of re-exploring the
-//     overlap — the coordination discipline pFSCK applies to parallel
-//     file-system checking.
+//   - A shared visited.Set, a sharded visited-state table with striped
+//     mutexes keyed on abstract state hashes. Workers that share one
+//     prune subtrees their peers already expanded instead of
+//     re-exploring the overlap — the coordination discipline pFSCK
+//     applies to parallel file-system checking.
 //   - A bounded worker pool: Parallelism caps how many of the n seeded
 //     workers run concurrently, so a swarm can be wider than the core
 //     count without oversubscribing the machine.
@@ -28,9 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"mcfs/internal/abstraction"
 	"mcfs/internal/mc/visited"
-	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/obs/perf"
@@ -77,122 +75,6 @@ func (c *Cancel) Reason() string {
 	return c.reason
 }
 
-// SharedVisited is the visited-state table shared by swarm workers (or
-// owned by one governed engine): a visited.Set — a swappable backend
-// table (exact, compact, or bitstate) behind the memory-accounting
-// ledger — plus an optional governor that degrades the backend under
-// memory pressure. The exact backend keeps the historical semantics:
-// a sharded state→depth map with the depth-bounded re-expansion rule.
-type SharedVisited struct {
-	set *visited.Set
-}
-
-// NewSharedVisited returns an empty shared table on the exact backend.
-func NewSharedVisited() *SharedVisited {
-	return &SharedVisited{set: visited.NewSet(visited.NewExact())}
-}
-
-// NewSharedVisitedTable returns a shared table over an explicit
-// backend (a reduced-fidelity run from the start).
-func NewSharedVisitedTable(t visited.Table) *SharedVisited {
-	return &SharedVisited{set: visited.NewSet(t)}
-}
-
-// Visit records that a worker reached st at depth and decides what the
-// worker should do: expand reports whether to descend (the state is new,
-// or previously expanded only at strictly deeper depths — bounded DFS
-// must re-expand those or successors within the remaining budget are
-// missed), and novel reports whether no worker had ever seen st (the
-// caller counts it as a unique discovery exactly once swarm-wide).
-func (v *SharedVisited) Visit(st abstraction.State, depth int) (novel, expand bool) {
-	return v.set.Visit(st, depth)
-}
-
-// AttachMem subscribes a memory model to the table's growth: the
-// current footprint is charged immediately and every later entry adds
-// the backend's per-entry bytes. Workers sharing one table live in one
-// address space, so each worker's model carries the full table —
-// shared-table growth shrinks the RAM left for concrete states in every
-// session's MemoryStats. Across a governor migration the ledger rebills
-// each model by the footprint delta, so accounting stays exact.
-func (v *SharedVisited) AttachMem(m *memmodel.Model) {
-	if v == nil || m == nil {
-		return
-	}
-	v.set.AttachMem(m)
-}
-
-// Seed preloads the table from an earlier run's ResumeState. Seeded
-// states are prior knowledge, not discoveries: they are pruned like any
-// visited state but never counted in NovelCount. Seeding the same state
-// twice keeps the shallowest depth.
-func (v *SharedVisited) Seed(r *ResumeState) {
-	if r == nil {
-		return
-	}
-	for i, st := range r.States {
-		depth := 0
-		if i < len(r.Depths) {
-			depth = r.Depths[i]
-		}
-		v.set.Seed(st, depth)
-	}
-}
-
-// Len reports the number of states in the table (seeds + discoveries).
-func (v *SharedVisited) Len() int { return int(v.set.Len()) }
-
-// Bytes reports the table's modeled memory footprint.
-func (v *SharedVisited) Bytes() int64 { return v.set.Bytes() }
-
-// NovelCount reports how many states workers discovered (excluding
-// seeded prior knowledge) — the swarm's global unique-state count.
-func (v *SharedVisited) NovelCount() int64 { return v.set.NovelCount() }
-
-// Fidelity reports the table's current matching precision.
-func (v *SharedVisited) Fidelity() visited.Fidelity { return v.set.Fidelity() }
-
-// Omission reports the table's estimated omission probability (zero at
-// exact fidelity).
-func (v *SharedVisited) Omission() float64 { return v.set.Omission() }
-
-// Govern attaches a memory governor to the table and returns it. The
-// caller arms each watched model's budget (memmodel.SetBudget); the
-// engine ticks the governor on its visit path.
-func (v *SharedVisited) Govern(cfg visited.GovernorConfig) *visited.Governor {
-	return visited.NewGovernor(v.set, cfg)
-}
-
-// Governor returns the attached governor — nil (safe to call) when
-// ungoverned or on a nil table.
-func (v *SharedVisited) Governor() *visited.Governor {
-	if v == nil {
-		return nil
-	}
-	return v.set.Governor()
-}
-
-// Export snapshots the table as a ResumeState so a later run (or swarm)
-// can continue where this one left off. A reduced-fidelity backend has
-// discarded the full state keys and returns visited.ErrNoExport instead
-// of a silently partial set.
-func (v *SharedVisited) Export() (*ResumeState, error) {
-	entries, err := v.set.Export()
-	if err != nil {
-		return nil, err
-	}
-	r := &ResumeState{
-		States: make([]abstraction.State, 0, len(entries)),
-		Depths: make([]int, 0, len(entries)),
-	}
-	for _, en := range entries {
-		r.States = append(r.States, en.State)
-		r.Depths = append(r.Depths, en.Depth)
-	}
-	r.sortByState()
-	return r, nil
-}
-
 // SwarmOptions configures a coordinated swarm run.
 type SwarmOptions struct {
 	// Workers is the number of diversified workers (seeds 1..Workers).
@@ -201,17 +83,14 @@ type SwarmOptions struct {
 	// min(Workers, GOMAXPROCS); Workers may exceed it — excess workers
 	// queue for a slot.
 	Parallelism int
-	// ShareVisited gives all workers one SharedVisited table so they
-	// prune states their peers already expanded.
-	ShareVisited bool
-	// Shared, when set, is the pre-built shared table the swarm uses —
-	// the caller's chance to pick a reduced-fidelity backend or attach
-	// a governed table (ShareVisited is implied). When nil and
-	// ShareVisited is set, the coordinator builds a fresh exact table.
-	Shared *SharedVisited
+	// Shared, when set, is the one visited table every worker visits
+	// through, so workers prune states their peers already expanded; the
+	// caller picks its backend and may govern it. Nil gives every worker
+	// an independent table of its own.
+	Shared *visited.Set
 	// Resume seeds the swarm with an earlier run's visited knowledge:
-	// the shared table when ShareVisited is set, otherwise each worker's
-	// own table (unless its factory Config already carries a Resume).
+	// the Shared table when set, otherwise each worker's own table
+	// (unless its factory Config already carries a Resume).
 	Resume *ResumeState
 	// Cancel, when set, lets the caller abort the whole swarm; when nil
 	// the coordinator creates an internal token. Either way the token is
@@ -296,8 +175,8 @@ type SwarmResult struct {
 // all sharing one cancellation token — the first bug, engine failure, or
 // caller abort stops every worker promptly. The factory must build a
 // fully independent Config (own kernel, file systems, checker, trackers)
-// per seed; the coordinator installs the cancellation token and, with
-// ShareVisited, the shared visited table into each Config.
+// per seed; the coordinator installs the cancellation token and the
+// Shared visited table, if any, into each Config.
 //
 // SwarmRun returns an error only for setup failures (bad options, a
 // factory error — after draining already-started workers). Engine
@@ -320,11 +199,8 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 		cancel = NewCancel()
 	}
 	shared := opts.Shared
-	if shared == nil && opts.ShareVisited {
-		shared = NewSharedVisited()
-	}
 	if shared != nil {
-		shared.Seed(opts.Resume)
+		SeedVisited(shared, opts.Resume)
 	}
 
 	var (
@@ -373,7 +249,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 			}
 			cfg.Cancel = cancel
 			if shared != nil {
-				cfg.SharedVisited = shared
+				cfg.Visited = shared
 				shared.AttachMem(cfg.Mem)
 			} else if cfg.Resume == nil {
 				cfg.Resume = opts.Resume
@@ -479,7 +355,7 @@ func runWorker(cfg Config) (res Result) {
 
 // mergeSwarm folds the per-worker results into the swarm-level sums,
 // merged coverage, merged resume knowledge, and duplicate-state count.
-func mergeSwarm(opts SwarmOptions, results []Result, shared *SharedVisited) SwarmResult {
+func mergeSwarm(opts SwarmOptions, results []Result, shared *visited.Set) SwarmResult {
 	sr := SwarmResult{Workers: results, BugWorker: -1, ErrWorker: -1, Coverage: newCoverage()}
 	for _, r := range results {
 		sr.Ops += r.Ops
@@ -500,45 +376,22 @@ func mergeSwarm(opts SwarmOptions, results []Result, shared *SharedVisited) Swar
 		}
 	}
 	if shared != nil {
-		sr.Resume, sr.ResumeErr = shared.Export()
+		sr.Resume, sr.ResumeErr = ExportVisited(shared)
 		sr.GlobalUniqueStates = shared.NovelCount()
 		sr.Fidelity = shared.Fidelity()
 		sr.OmissionProb = shared.Omission()
 	} else {
-		seeded := make(map[abstraction.State]bool)
-		if opts.Resume != nil {
-			for _, st := range opts.Resume.States {
-				seeded[st] = true
-			}
-		}
-		union := make(map[abstraction.State]int)
+		// Union the workers' knowledge in a scratch table, which keeps
+		// each state's shallowest depth; states beyond the resumed seed
+		// set are the swarm's distinct discoveries.
+		union := visited.NewSet(nil)
+		SeedVisited(union, opts.Resume)
+		seeded := union.Len()
 		for _, r := range results {
-			if r.Resume == nil {
-				continue
-			}
-			for i, st := range r.Resume.States {
-				depth := 0
-				if i < len(r.Resume.Depths) {
-					depth = r.Resume.Depths[i]
-				}
-				if prev, seen := union[st]; !seen || prev > depth {
-					union[st] = depth
-				}
-			}
+			SeedVisited(union, r.Resume)
 		}
-		merged := &ResumeState{
-			States: make([]abstraction.State, 0, len(union)),
-			Depths: make([]int, 0, len(union)),
-		}
-		for st, depth := range union {
-			merged.States = append(merged.States, st)
-			merged.Depths = append(merged.Depths, depth)
-			if !seeded[st] {
-				sr.GlobalUniqueStates++
-			}
-		}
-		merged.sortByState()
-		sr.Resume = merged
+		sr.GlobalUniqueStates = union.Len() - seeded
+		sr.Resume, sr.ResumeErr = ExportVisited(union)
 	}
 	sr.DuplicateStates = sr.UniqueStates - sr.GlobalUniqueStates
 	return sr

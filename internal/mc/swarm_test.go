@@ -7,6 +7,7 @@ package mc_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"mcfs"
 	"mcfs/internal/abstraction"
 	"mcfs/internal/mc"
+	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs"
 	"mcfs/internal/simclock"
@@ -58,43 +60,15 @@ func TestCancelTokenConcurrent(t *testing.T) {
 	}
 }
 
-// --- SharedVisited ---------------------------------------------------------
-
-func TestSharedVisitedSemantics(t *testing.T) {
-	sv := mc.NewSharedVisited()
-	var h abstraction.State
-	h[0] = 0xaa
-
-	novel, expand := sv.Visit(h, 2)
-	if !novel || !expand {
-		t.Errorf("first Visit = (%v, %v), want (true, true)", novel, expand)
-	}
-	novel, expand = sv.Visit(h, 2)
-	if novel || expand {
-		t.Errorf("same-depth revisit = (%v, %v), want (false, false)", novel, expand)
-	}
-	novel, expand = sv.Visit(h, 3)
-	if novel || expand {
-		t.Errorf("deeper revisit = (%v, %v), want (false, false)", novel, expand)
-	}
-	// The bounded-DFS re-expansion rule: reaching a known state at a
-	// SHALLOWER depth means deeper successors may now be in bound.
-	novel, expand = sv.Visit(h, 1)
-	if novel || !expand {
-		t.Errorf("shallower revisit = (%v, %v), want (false, true)", novel, expand)
-	}
-	if sv.Len() != 1 || sv.NovelCount() != 1 {
-		t.Errorf("Len=%d NovelCount=%d, want 1/1", sv.Len(), sv.NovelCount())
-	}
-}
+// --- Resume helpers over visited.Set ---------------------------------------
 
 func TestSharedVisitedSeedDoesNotCountAsNovel(t *testing.T) {
 	run := exploreClean(t, 2, 300, 0, nil)
 	if run.Err != nil {
 		t.Fatal(run.Err)
 	}
-	sv := mc.NewSharedVisited()
-	sv.Seed(run.Resume)
+	sv := visited.NewSet(nil)
+	mc.SeedVisited(sv, run.Resume)
 	if sv.Len() == 0 {
 		t.Fatal("seeding recorded no states")
 	}
@@ -102,41 +76,18 @@ func TestSharedVisitedSeedDoesNotCountAsNovel(t *testing.T) {
 		t.Errorf("NovelCount = %d after seeding, want 0 (seeds are not discoveries)", sv.NovelCount())
 	}
 	// Seeding twice is idempotent.
-	sv.Seed(run.Resume)
-	if got := sv.Len(); got != int(run.Resume.UniqueStates()) {
+	mc.SeedVisited(sv, run.Resume)
+	if got := sv.Len(); got != run.Resume.UniqueStates() {
 		t.Errorf("Len = %d after double seed, want %d", got, run.Resume.UniqueStates())
 	}
-}
-
-func TestSharedVisitedConcurrent(t *testing.T) {
-	sv := mc.NewSharedVisited()
-	var wg sync.WaitGroup
-	var novelTotal int64
-	var mu sync.Mutex
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n := int64(0)
-			for i := 0; i < 500; i++ {
-				var h abstraction.State
-				h[0] = byte(i)
-				h[1] = byte(i >> 8)
-				if novel, _ := sv.Visit(h, w%4); novel {
-					n++
-				}
-			}
-			mu.Lock()
-			novelTotal += n
-			mu.Unlock()
-		}(w)
+	// Export round-trips the seeded knowledge: same states, same depths.
+	back, err := mc.ExportVisited(sv)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	if novelTotal != 500 {
-		t.Errorf("total novel across racing workers = %d, want 500 (each state credited once)", novelTotal)
-	}
-	if sv.Len() != 500 || sv.NovelCount() != 500 {
-		t.Errorf("Len=%d NovelCount=%d, want 500/500", sv.Len(), sv.NovelCount())
+	if !reflect.DeepEqual(back, run.Resume) {
+		t.Errorf("ExportVisited(SeedVisited(r)) differs from r (%d vs %d states)",
+			back.UniqueStates(), run.Resume.UniqueStates())
 	}
 }
 
@@ -255,10 +206,13 @@ func TestSwarmFactoryErrorDrainsWorkers(t *testing.T) {
 
 // TestSharedVisitedReducesDuplicates: the same swarm explores once with
 // independent visited tables and once with the shared table; sharing
-// must cut cross-worker duplicate states.
+// must cut cross-worker duplicate states. A third, resumed run with
+// independent tables checks the merged knowledge: resumed states are
+// not counted as discoveries, and every merged depth is the shallowest
+// any source recorded.
 func TestSharedVisitedReducesDuplicates(t *testing.T) {
-	run := func(share bool) mcfs.SwarmResult {
-		sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 3, ShareVisited: share},
+	run := func(share bool, resume *mcfs.ResumeState) mcfs.SwarmResult {
+		sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 3, ShareVisited: share, Resume: resume},
 			func(seed int64) (mcfs.Options, error) {
 				return mcfs.Options{
 					Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
@@ -277,8 +231,8 @@ func TestSharedVisitedReducesDuplicates(t *testing.T) {
 		}
 		return sr
 	}
-	indep := run(false)
-	shared := run(true)
+	indep := run(false, nil)
+	shared := run(true, nil)
 
 	if indep.DuplicateStates == 0 {
 		t.Fatal("independent workers produced no duplicates; state space too small to test sharing")
@@ -294,6 +248,45 @@ func TestSharedVisitedReducesDuplicates(t *testing.T) {
 	t.Logf("duplicates: independent=%d shared=%d (global unique: %d vs %d)",
 		indep.DuplicateStates, shared.DuplicateStates,
 		indep.GlobalUniqueStates, shared.GlobalUniqueStates)
+
+	seed := exploreClean(t, 3, 150, 0, nil).Resume
+	resumed := run(false, seed)
+	if got, want := resumed.GlobalUniqueStates, resumed.Resume.UniqueStates()-seed.UniqueStates(); got != want {
+		t.Errorf("resumed GlobalUniqueStates = %d, want %d merged - %d seeded = %d",
+			got, resumed.Resume.UniqueStates(), seed.UniqueStates(), want)
+	}
+	if resumed.GlobalUniqueStates == 0 {
+		t.Error("resumed swarm discovered nothing beyond its seed")
+	}
+	minDepth := make(map[abstraction.State]int)
+	for _, r := range append([]*mcfs.ResumeState{seed}, workerResumes(resumed)...) {
+		for i, st := range r.States {
+			if d, ok := minDepth[st]; !ok || r.Depths[i] < d {
+				minDepth[st] = r.Depths[i]
+			}
+		}
+	}
+	t.Logf("resumed: %d seeded, %d merged, %d discovered", seed.UniqueStates(),
+		resumed.Resume.UniqueStates(), resumed.GlobalUniqueStates)
+	if len(minDepth) != len(resumed.Resume.States) {
+		t.Errorf("merged resume has %d states, sources hold %d", len(resumed.Resume.States), len(minDepth))
+	}
+	for i, st := range resumed.Resume.States {
+		if got, want := resumed.Resume.Depths[i], minDepth[st]; got != want {
+			t.Errorf("merged depth of %x = %d, want the per-state minimum %d", st[:4], got, want)
+		}
+	}
+}
+
+// workerResumes collects the non-nil per-worker resume sets.
+func workerResumes(sr mcfs.SwarmResult) []*mcfs.ResumeState {
+	var out []*mcfs.ResumeState
+	for _, r := range sr.Workers {
+		if r.Resume != nil {
+			out = append(out, r.Resume)
+		}
+	}
+	return out
 }
 
 // --- Checkpoint-leak fix ---------------------------------------------------
@@ -491,7 +484,7 @@ func BenchmarkSwarmShared(b *testing.B)     { benchmarkSwarm(b, true) }
 // --- Shared visited-table memory accounting --------------------------------
 
 func TestSharedVisitedChargesAttachedModels(t *testing.T) {
-	sv := mc.NewSharedVisited()
+	sv := visited.NewSet(nil)
 	clk := simclock.New()
 	cfg := memmodel.DefaultConfig()
 	m1 := memmodel.New(cfg, clk)
@@ -532,7 +525,7 @@ func TestSwarmSharedTableChargedToSessionModels(t *testing.T) {
 			s.Close()
 		}
 	}()
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: 2, ShareVisited: true},
+	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: 2, Shared: visited.NewSet(nil)},
 		func(seed int64) (mc.Config, error) {
 			s, err := mcfs.NewSession(mcfs.Options{
 				Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},

@@ -92,7 +92,7 @@ func (t *Exact) Omission() float64 { return 0 }
 
 // Export implements Table: a byte-ordered snapshot of every entry.
 func (t *Exact) Export() ([]Entry, error) {
-	var out []Entry
+	out := make([]Entry, 0, t.count.Load())
 	for i := range t.shards {
 		sh := &t.shards[i]
 		sh.mu.Lock()

@@ -53,8 +53,9 @@ type Governor struct {
 	downgrades  atomic.Int64
 }
 
-// NewGovernor builds a governor over the set. Call memmodel.SetBudget
-// on each watched model to define the watermarks; Maybe is a no-op for
+// NewGovernor builds a governor over the set and attaches it (a set
+// keeps one; a later governor replaces it). Call memmodel.SetBudget on
+// each watched model to define the watermarks; Maybe is a no-op for
 // models without a budget.
 func NewGovernor(s *Set, cfg GovernorConfig) *Governor {
 	if cfg.BitstateBytes <= 0 {
@@ -67,7 +68,9 @@ func NewGovernor(s *Set, cfg GovernorConfig) *Governor {
 		cfg.MaxEvictRounds = 8
 	}
 	g := &Governor{set: s, cfg: cfg}
-	s.Govern(g)
+	s.mu.Lock()
+	s.gov = g
+	s.mu.Unlock()
 	return g
 }
 

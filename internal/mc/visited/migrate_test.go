@@ -3,6 +3,7 @@ package visited
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mcfs/internal/memmodel"
@@ -100,6 +101,7 @@ func TestConcurrentVisitLedger(t *testing.T) {
 	set.AttachMem(mem)
 
 	var wg sync.WaitGroup
+	var credited atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -107,14 +109,22 @@ func TestConcurrentVisitLedger(t *testing.T) {
 			// All workers visit the same states: exactly one wins novelty
 			// for each.
 			for i := 0; i < states; i++ {
-				set.Visit(st(i), i%5)
+				if novel, _ := set.Visit(st(i), i%5); novel {
+					credited.Add(1)
+				}
 			}
 		}()
 	}
 	wg.Wait()
 
+	if got := credited.Load(); got != states {
+		t.Fatalf("racing workers were credited %d novel visits, want %d (each state once)", got, states)
+	}
 	if got := set.NovelCount(); got != states {
 		t.Fatalf("NovelCount = %d, want %d", got, states)
+	}
+	if got := set.Len(); got != states {
+		t.Fatalf("Len = %d, want %d", got, states)
 	}
 	if got, want := mem.Stats().SharedVisitedBytes, int64(states*ExactEntryBytes); got != want {
 		t.Fatalf("model billed %d bytes, want %d", got, want)

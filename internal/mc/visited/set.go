@@ -150,16 +150,6 @@ func (s *Set) Export() ([]Entry, error) {
 	return s.table.Export()
 }
 
-// Govern attaches a governor (nil detaches).
-func (s *Set) Govern(g *Governor) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.gov = g
-	s.mu.Unlock()
-}
-
 // Governor returns the attached governor (nil when ungoverned; a nil
 // *Governor is safe to call).
 func (s *Set) Governor() *Governor {

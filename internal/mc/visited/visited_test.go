@@ -137,7 +137,7 @@ func TestMigrationPreservesMembership(t *testing.T) {
 }
 
 func TestExactReexpansionRule(t *testing.T) {
-	ex := NewExact()
+	ex := NewSet(NewExact())
 	if novel, expand := ex.Visit(st(1), 4); !novel || !expand {
 		t.Fatal("first visit must be novel and expandable")
 	}
@@ -151,6 +151,9 @@ func TestExactReexpansionRule(t *testing.T) {
 	}
 	if novel, expand := ex.Visit(st(1), 2); novel || expand {
 		t.Fatal("equal-depth revisit must not re-expand")
+	}
+	if ex.Len() != 1 || ex.NovelCount() != 1 {
+		t.Errorf("Len=%d NovelCount=%d, want 1/1", ex.Len(), ex.NovelCount())
 	}
 }
 

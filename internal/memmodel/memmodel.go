@@ -83,8 +83,8 @@ type Model struct {
 	resizes     int   // number of table resizes so far
 	peakBytes   int64 // high-water mark of the total footprint
 
-	// sharedVisited is the footprint charged by a shared swarm visited
-	// table (SharedVisited.AttachMem). Atomic: any worker's discovery
+	// sharedVisited is the footprint charged by an injected visited
+	// table (visited.Set.AttachMem). Atomic: any worker's discovery
 	// grows every attached model, concurrently with that model's owner.
 	sharedVisited atomic.Int64
 
@@ -354,9 +354,10 @@ type Stats struct {
 	Entries     int64
 	Slots       int64
 	Resizes     int
-	// SharedVisitedBytes is the footprint of a shared swarm visited
-	// table this model is attached to (zero outside shared-table swarm
-	// runs). It is charged against the RAM budget like the local table.
+	// SharedVisitedBytes is the footprint of an injected visited table
+	// this model is attached to: a swarm's shared table, or a session's
+	// governed or reduced-fidelity one (zero when the engine owns its
+	// table). It is charged against the RAM budget like the local table.
 	SharedVisitedBytes int64
 	// PeakBytes is the high-water mark of the total footprint (stored
 	// states + visited table + shared table), including transient resize

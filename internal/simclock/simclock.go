@@ -18,7 +18,8 @@ import (
 )
 
 // Clock is a monotonically advancing virtual clock. It is safe for
-// concurrent use; swarm workers in the explorer share one clock.
+// concurrent use. Every exploration session builds its own clock, so
+// swarm workers advance independent virtual timelines.
 //
 // The zero value is a valid clock at time zero.
 type Clock struct {

@@ -304,11 +304,6 @@ type Options struct {
 	// honestly. When Memory is nil, a budget-sized memory model is
 	// derived automatically.
 	MemBudget int64
-
-	// swarmShared marks the session a swarm worker whose shared table
-	// (and governor) the swarm coordinator provides; the session arms
-	// its memory budget but builds no table of its own.
-	swarmShared bool
 }
 
 // Session is an assembled model-checking run: a simulated kernel with
@@ -322,7 +317,11 @@ type Session struct {
 	cfg      mc.Config
 	mem      *memmodel.Model
 	obsHub   *obs.Hub
-	shared   *mc.SharedVisited // session-owned visited table (nil = engine-local exact map)
+
+	// Visited-table selection, applied when the session runs (see Run).
+	visitedKind   string
+	bitstateBytes int64
+	memBudget     int64
 
 	crash       bool // crash exploration requested
 	fsckWorkers int
@@ -339,7 +338,8 @@ func NewSession(opts Options) (*Session, error) {
 	clock := simclock.New()
 	k := kernel.New(clock)
 	s := &Session{clock: clock, kern: k, obsHub: opts.Obs, crash: opts.CrashExploration,
-		fsckWorkers: opts.FsckWorkers}
+		fsckWorkers: opts.FsckWorkers, visitedKind: opts.Visited,
+		bitstateBytes: opts.BitstateBytes, memBudget: opts.MemBudget}
 	// Rebase the hub and profiler onto this session's virtual clock so
 	// every span, latency, and phase observation is in deterministic
 	// virtual time.
@@ -411,32 +411,6 @@ func NewSession(opts Options) (*Session, error) {
 	if opts.MemBudget > 0 {
 		s.mem.SetBudget(opts.MemBudget, 0, 0)
 	}
-	kind := visited.Kind(opts.Visited)
-	if kind == "" {
-		kind = visited.KindExact
-	}
-	// A non-default backend or an armed budget needs a session-owned
-	// shared table; swarm workers instead receive the swarm-wide table
-	// from the coordinator (swarmShared).
-	if (kind != visited.KindExact || opts.MemBudget > 0) && !opts.swarmShared {
-		tbl, err := visited.NewTable(kind, opts.BitstateBytes)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.shared = mc.NewSharedVisitedTable(tbl)
-		s.shared.AttachMem(s.mem)
-		if opts.MemBudget > 0 {
-			bb := opts.BitstateBytes
-			if bb <= 0 {
-				bb = opts.MemBudget / 4
-			}
-			s.shared.Govern(visited.GovernorConfig{
-				BitstateBytes: bb,
-				Hooks:         governorHooks([]*obs.Hub{opts.Obs}, opts.Stream, opts.StreamWorker),
-			})
-		}
-	}
 	s.cfg = mc.Config{
 		Kernel:            k,
 		Checker:           s.check,
@@ -455,7 +429,6 @@ func NewSession(opts Options) (*Session, error) {
 		Perf:              opts.Perf,
 		Stream:            opts.Stream,
 		StreamWorker:      opts.StreamWorker,
-		SharedVisited:     s.shared,
 	}
 	if opts.CrashExploration {
 		if len(s.crashPlanes) == 0 {
@@ -815,40 +788,78 @@ func (s *Session) trackerFor(point string, ts TargetSpec, vmGroup **tracker.VMGr
 
 // Run performs the exploration and returns the result. Run may be called
 // once per session; build a fresh session for a fresh run.
+//
+// A non-default visited backend or an armed memory budget gets a
+// session-owned table, built here rather than in NewSession: swarm
+// workers never call Run and visit the swarm's table instead. The
+// session exports its table for resume; a reduced-fidelity backend
+// refuses with a typed error the result carries instead of a snapshot.
 func (s *Session) Run() Result {
-	res := mc.Run(s.cfg)
-	if s.shared != nil {
-		// The session-owned table is the authoritative visited set;
-		// export it for resume (reduced-fidelity backends refuse with a
-		// typed error the result carries instead of a snapshot).
-		res.Resume, res.ResumeErr = s.shared.Export()
+	hooks := governorHooks(func() []*obs.Hub { return []*obs.Hub{s.obsHub} }, s.cfg.Stream, s.cfg.StreamWorker)
+	set, err := newVisitedSet(s.visitedKind, s.bitstateBytes, s.memBudget, false, hooks)
+	if err != nil {
+		return Result{Err: err}
 	}
+	if set == nil {
+		return mc.Run(s.cfg)
+	}
+	set.AttachMem(s.mem)
+	s.cfg.Visited = set
+	res := mc.Run(s.cfg)
+	res.Resume, res.ResumeErr = mc.ExportVisited(set)
 	return res
+}
+
+// newVisitedSet builds the visited table a session or swarm hands the
+// engine: the selected backend, shared when share is set, and governed
+// when a memory budget is armed (a bitstate migration's array defaults
+// to a quarter of the budget). It returns nil — the engine builds its
+// own exact table — when none of that is asked for.
+func newVisitedSet(kind string, bitstateBytes, budget int64, share bool, hooks visited.Hooks) (*visited.Set, error) {
+	k := visited.Kind(kind)
+	if (k == "" || k == visited.KindExact) && budget <= 0 && !share {
+		return nil, nil
+	}
+	tbl, err := visited.NewTable(k, bitstateBytes)
+	if err != nil {
+		return nil, err
+	}
+	set := visited.NewSet(tbl)
+	if budget > 0 {
+		if bitstateBytes <= 0 {
+			bitstateBytes = budget / 4
+		}
+		visited.NewGovernor(set, visited.GovernorConfig{BitstateBytes: bitstateBytes, Hooks: hooks})
+	}
+	return set, nil
 }
 
 // governorHooks wires a governor's degradation events into the
 // observability plane: fidelity/omission gauges on every hub, the
 // eviction and downgrade counters on the first non-nil hub only (Merge
 // sums counters across hubs, so billing them everywhere would
-// double-count), and a fidelity-degraded event on the stream bus.
-func governorHooks(hubs []*obs.Hub, bus *Stream, worker int) visited.Hooks {
-	var first *obs.Hub
-	for _, h := range hubs {
-		if h != nil {
-			first = h
-			break
+// double-count), and a fidelity-degraded event on the stream bus. hubs
+// is called per event, so a swarm's hooks see the workers built so far.
+func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hooks {
+	first := func(hs []*obs.Hub) *obs.Hub {
+		for _, h := range hs {
+			if h != nil {
+				return h
+			}
 		}
+		return nil
 	}
 	return visited.Hooks{
 		OnEvict: func(n, depth int) {
-			first.Counter(obs.MetricVisitedEvictions).Add(int64(n))
+			first(hubs()).Counter(obs.MetricVisitedEvictions).Add(int64(n))
 		},
 		OnDowngrade: func(from, to Fidelity, omission float64) {
-			for _, h := range hubs {
+			hs := hubs()
+			for _, h := range hs {
 				h.Gauge(obs.MetricVisitedFidelity).Set(int64(to))
 				h.Gauge(obs.MetricVisitedOmissionPPM).Set(int64(omission * 1e6))
 			}
-			first.Counter(obs.MetricFidelityDowngrades).Inc()
+			first(hs).Counter(obs.MetricFidelityDowngrades).Inc()
 			bus.Publish(stream.Event{
 				Kind:   stream.KindFidelityDegraded,
 				Worker: worker,
@@ -906,7 +917,7 @@ func (s *Session) Obs() *obs.Hub { return s.obsHub }
 func (s *Session) Perf() *perf.Profiler { return s.cfg.Perf }
 
 // Config exposes the underlying engine configuration (benchmarks tune
-// it).
+// it). A session-owned visited table is installed by Run, not here.
 func (s *Session) Config() *mc.Config { return &s.cfg }
 
 // MemoryStats reports the memory model's occupancy; zero Stats when the
@@ -986,82 +997,41 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 			s.Close()
 		}
 	}()
-	kind := visited.Kind(swarm.Visited)
-	if kind == "" {
-		kind = visited.KindExact
+	// The degradation hooks fan out over whichever worker hubs exist by
+	// the time the governor acts.
+	hubs := func() []*obs.Hub {
+		mu.Lock()
+		defer mu.Unlock()
+		hs := make([]*obs.Hub, len(sessions))
+		for i, s := range sessions {
+			hs[i] = s.obsHub
+		}
+		return hs
 	}
-	var shared *mc.SharedVisited
-	if kind != visited.KindExact || swarm.MemBudget > 0 {
-		tbl, err := visited.NewTable(kind, swarm.BitstateBytes)
-		if err != nil {
-			return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
-		}
-		shared = mc.NewSharedVisitedTable(tbl)
-		if swarm.MemBudget > 0 {
-			bb := swarm.BitstateBytes
-			if bb <= 0 {
-				bb = swarm.MemBudget / 4
-			}
-			// The degradation hooks fan the event out over whichever
-			// worker hubs exist by then — gauges on all (every progress
-			// lane flags the downgrade), counters on one (obs.Merge sums
-			// counters across worker hubs).
-			shared.Govern(visited.GovernorConfig{
-				BitstateBytes: bb,
-				Hooks: visited.Hooks{
-					OnEvict: func(n, _ int) {
-						mu.Lock()
-						defer mu.Unlock()
-						for _, s := range sessions {
-							if s.obsHub != nil {
-								s.obsHub.Counter(obs.MetricVisitedEvictions).Add(int64(n))
-								return
-							}
-						}
-					},
-					OnDowngrade: func(from, to Fidelity, omission float64) {
-						mu.Lock()
-						counted := false
-						for _, s := range sessions {
-							s.obsHub.Gauge(obs.MetricVisitedFidelity).Set(int64(to))
-							s.obsHub.Gauge(obs.MetricVisitedOmissionPPM).Set(int64(omission * 1e6))
-							if s.obsHub != nil && !counted {
-								s.obsHub.Counter(obs.MetricFidelityDowngrades).Inc()
-								counted = true
-							}
-						}
-						mu.Unlock()
-						swarm.Stream.Publish(stream.Event{
-							Kind:   stream.KindFidelityDegraded,
-							Detail: fmt.Sprintf("%s->%s p≈%.3g", from, to, omission),
-						})
-					},
-				},
-			})
-		}
+	shared, err := newVisitedSet(swarm.Visited, swarm.BitstateBytes, swarm.MemBudget,
+		swarm.ShareVisited, governorHooks(hubs, swarm.Stream, 0))
+	if err != nil {
+		return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
 	}
 	return mc.SwarmRun(mc.SwarmOptions{
-		Workers:      swarm.Workers,
-		Parallelism:  swarm.Parallelism,
-		ShareVisited: swarm.ShareVisited,
-		Shared:       shared,
-		Resume:       swarm.Resume,
-		Cancel:       swarm.Cancel,
-		Journal:      swarm.Journal,
-		Stream:       swarm.Stream,
+		Workers:     swarm.Workers,
+		Parallelism: swarm.Parallelism,
+		Shared:      shared,
+		Resume:      swarm.Resume,
+		Cancel:      swarm.Cancel,
+		Journal:     swarm.Journal,
+		Stream:      swarm.Stream,
 	}, func(seed int64) (mc.Config, error) {
 		opts, err := factory(seed)
 		if err != nil {
 			return mc.Config{}, err
 		}
 		opts.Seed = seed
-		if shared != nil {
-			// The swarm owns the one shared table; workers arm their own
-			// memory budgets but must not build per-session tables.
-			opts.swarmShared = true
-			if opts.MemBudget == 0 {
-				opts.MemBudget = swarm.MemBudget
-			}
+		// Every worker's model watches the budget; the swarm's one
+		// governed table is the only visited table (workers never call
+		// Session.Run, which is where a session builds its own).
+		if opts.MemBudget == 0 {
+			opts.MemBudget = swarm.MemBudget
 		}
 		s, err := NewSession(opts)
 		if err != nil {

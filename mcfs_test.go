@@ -28,6 +28,19 @@ func TestNewSessionValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("verifs2-only bug accepted on verifs1")
 	}
+	// The session builds its visited table in Run, so an unknown kind
+	// fails the run.
+	s, err := mcfs.NewSession(mcfs.Options{
+		Targets: []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		Visited: "bogus",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if res := s.Run(); res.Err == nil || !strings.Contains(res.Err.Error(), "unknown table kind") {
+		t.Errorf("unknown visited kind: Run error = %v", res.Err)
+	}
 }
 
 func TestAllKindsMountAndAgreeInitially(t *testing.T) {
