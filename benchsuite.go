@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"mcfs/internal/bench"
-	"mcfs/internal/mc"
 	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
 	"mcfs/internal/obs/journal"
@@ -145,34 +143,18 @@ func benchCrashExplore(budget int64) (bench.Scenario, error) {
 // swarm's wall-clock in virtual terms — and the phase shares come from
 // the merged per-worker profile.
 func benchSwarmShared(budget int64) (bench.Scenario, error) {
-	const workers = 2
-	var mu sync.Mutex
-	var sessions []*Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, Shared: visited.NewSet(nil)},
-		func(seed int64) (mc.Config, error) {
+	var sw sessionSwarm
+	defer sw.close()
+	sr, err := sw.run(SwarmOptions{Workers: 2, ShareVisited: true},
+		func(int64) (Options, error) {
 			memCfg := memmodel.DefaultConfig()
-			s, err := NewSession(Options{
-				Targets:  []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-				MaxDepth: 3,
-				MaxOps:   budget,
-				Seed:     seed,
-				Memory:   &memCfg,
-				Perf:     perf.New(nil),
-			})
-			if err != nil {
-				return mc.Config{}, err
-			}
-			mu.Lock()
-			sessions = append(sessions, s)
-			mu.Unlock()
-			return *s.Config(), nil
+			return Options{
+				Targets:   []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+				MaxDepth:  3,
+				MaxOps:    budget,
+				Memory:    &memCfg,
+				Observers: Observers{Perf: perf.New(nil)},
+			}, nil
 		})
 	if err != nil {
 		return bench.Scenario{}, err
@@ -190,9 +172,7 @@ func benchSwarmShared(budget int64) (bench.Scenario, error) {
 		}
 	}
 	row := scenarioRow(sr.Ops, sr.GlobalUniqueStates, maxElapsed, sr.Perf)
-	mu.Lock()
-	defer mu.Unlock()
-	for _, s := range sessions {
+	for _, s := range sw.built() {
 		if peak := s.MemoryStats().PeakBytes; peak > row.PeakMemBytes {
 			row.PeakMemBytes = peak
 		}

@@ -24,9 +24,9 @@ func bundleFromBugRun(t *testing.T) (string, mcfs.Result) {
 			{Kind: "verifs1"},
 			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
 		},
-		MaxDepth: 3,
-		MaxOps:   5000,
-		Journal:  jw,
+		MaxDepth:  3,
+		MaxOps:    5000,
+		Observers: mcfs.Observers{Journal: jw},
 	}
 	s, err := mcfs.NewSession(opts)
 	if err != nil {

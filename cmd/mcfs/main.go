@@ -220,90 +220,66 @@ func run() int {
 		defer jw.Close()
 	}
 
-	buildOptions := func(hub *obs.Hub, prof *perf.Profiler) mcfs.Options {
-		targets := make([]mcfs.TargetSpec, len(fsKinds))
-		for i, kind := range fsKinds {
-			targets[i] = mcfs.TargetSpec{
-				Kind:                kind,
-				Backing:             mcfs.Backing(*backing),
-				DisablePerOpRemount: *noRemount,
-			}
-		}
-		targets[len(targets)-1].Bugs = bugs
-		return mcfs.Options{
-			Targets:          targets,
-			MaxDepth:         *depth,
-			MaxOps:           *maxOps,
-			MaxStates:        *maxStates,
-			Seed:             *seed,
-			MajorityVote:     *majority,
-			CrashExploration: *crash,
-			CrashPointsPerOp: *crashPoints,
-			FsckWorkers:      *fsckWorkers,
-			Obs:              hub,
-			Perf:             prof,
-			Visited:          *visitedMode,
-			BitstateBytes:    bitstateBytes,
-			MemBudget:        memBudget,
+	targets := make([]mcfs.TargetSpec, len(fsKinds))
+	for i, kind := range fsKinds {
+		targets[i] = mcfs.TargetSpec{
+			Kind:                kind,
+			Backing:             mcfs.Backing(*backing),
+			DisablePerOpRemount: *noRemount,
 		}
 	}
+	targets[len(targets)-1].Bugs = bugs
+	// base is every engine's Options without its observers; it is also
+	// what a bundle records.
+	base := mcfs.Options{
+		Targets:          targets,
+		MaxDepth:         *depth,
+		MaxOps:           *maxOps,
+		MaxStates:        *maxStates,
+		Seed:             *seed,
+		MajorityVote:     *majority,
+		CrashExploration: *crash,
+		CrashPointsPerOp: *crashPoints,
+		FsckWorkers:      *fsckWorkers,
+		Visited:          *visitedMode,
+		BitstateBytes:    bitstateBytes,
+		MemBudget:        memBudget,
+	}
 
-	// One hub and profiler per engine: the single-run case gets one
-	// "main" lane, a swarm gets one lane per worker so the progress
-	// report shows every worker's depth/states/rate separately.
+	// One set of observers per engine, all on the one journal and bus:
+	// the single-run case gets one "main" lane, a swarm gets one lane
+	// per worker so the progress report shows every worker's
+	// depth/states/rate separately.
 	nEngines := *swarm
 	if nEngines <= 0 {
 		nEngines = 1
 	}
-	var hubs []*obs.Hub
+	observers := make([]mcfs.Observers, nEngines)
 	var lanes []obs.Lane
-	if obsOn {
-		hubs = make([]*obs.Hub, nEngines)
-		for i := range hubs {
-			hubs[i] = obs.New(obs.Options{})
+	for i := range observers {
+		o := &observers[i]
+		o.Journal, o.Stream = jw, bus
+		if obsOn {
+			o.Obs = obs.New(obs.Options{})
 			name := "main"
 			if *swarm > 0 {
 				name = fmt.Sprintf("w%d", i+1)
 			}
-			lanes = append(lanes, obs.Lane{Name: name, Hub: hubs[i]})
+			lanes = append(lanes, obs.Lane{Name: name, Hub: o.Obs})
+		}
+		if perfOn {
+			o.Perf = perf.New(nil) // sessions rebase onto their virtual clocks
 		}
 	}
 	if bus != nil && obsOn {
 		// Surface ring-overflow drops as obs.stream.dropped on the first
 		// hub (merged snapshots sum it in with everything else).
-		bus.SetObs(hubs[0])
-	}
-	var perfs []*perf.Profiler
-	if perfOn {
-		perfs = make([]*perf.Profiler, nEngines)
-		for i := range perfs {
-			perfs[i] = perf.New(nil) // sessions rebase onto their virtual clocks
-		}
-	}
-	// mergedPerf folds the per-engine phase profiles into one snapshot
-	// (telemetry samples survive only in the single-engine case).
-	mergedPerf := func() *perf.Snapshot {
-		if !perfOn {
-			return nil
-		}
-		if len(perfs) == 1 {
-			s := perfs[0].Snapshot()
-			return &s
-		}
-		var merged perf.Snapshot
-		for _, p := range perfs {
-			merged = merged.Merge(p.Snapshot())
-		}
-		return &merged
+		bus.SetObs(observers[0].Obs)
 	}
 
 	if *metricsAddr != "" {
 		srv, err := obs.ServeMetrics(*metricsAddr, func() any {
-			snaps := make([]obs.Snapshot, len(hubs))
-			for i, h := range hubs {
-				snaps[i] = h.Snapshot()
-			}
-			return metricsDoc{Snapshot: obs.Merge(snaps...), Perf: mergedPerf()}
+			return mergeObservers(observers)
 		},
 			obs.Route{Pattern: "/events", Handler: stream.EventsHandler(bus)},
 			obs.Route{Pattern: "/workers", Handler: stream.WorkersHandler(bus)},
@@ -325,7 +301,7 @@ func run() int {
 		defer stopSink()
 	}
 	if *top > 0 {
-		stopTop := startTopView(bus, hubs, *swarm > 0, *top)
+		stopTop := startTopView(bus, observers, *swarm > 0, *top)
 		defer stopTop()
 	}
 
@@ -358,27 +334,21 @@ func run() int {
 	reporter.Start()
 	defer reporter.Stop()
 
-	// metricsSnap merges every engine's instruments for the bundle.
-	metricsSnap := func() *obs.Snapshot {
-		if !obsOn {
-			return nil
-		}
-		snaps := make([]obs.Snapshot, len(hubs))
-		for i, h := range hubs {
-			snaps[i] = h.Snapshot()
-		}
-		merged := obs.Merge(snaps...)
-		return &merged
-	}
-
 	// writeBundle closes the journal (flushing it) and dumps the
-	// bug-repro bundle for res, whose run used opts.
-	writeBundle := func(opts mcfs.Options, res mcfs.Result) {
+	// bug-repro bundle for res, whose run used seed, with every engine's
+	// metrics merged.
+	writeBundle := func(seed int64, res mcfs.Result) {
 		if err := jw.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "mcfs: journal: %v\n", err)
 		}
-		opts.Obs, opts.Journal, opts.Perf, opts.Stream = nil, nil, nil, nil
-		if err := mcfs.WriteBundle(*bundleDir, opts, res, jpath, metricsSnap()); err != nil {
+		var metrics *obs.Snapshot
+		if obsOn {
+			doc := mergeObservers(observers)
+			metrics = &doc.Snapshot
+		}
+		opts := base
+		opts.Seed = seed
+		if err := mcfs.WriteBundle(*bundleDir, opts, res, jpath, metrics); err != nil {
 			fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
 			return
 		}
@@ -393,18 +363,11 @@ func run() int {
 			Visited:       *visitedMode,
 			BitstateBytes: bitstateBytes,
 			MemBudget:     memBudget,
-			Journal:       jw,
 			Stream:        bus,
 		}, func(seed int64) (mcfs.Options, error) {
-			var hub *obs.Hub
-			if obsOn {
-				hub = hubs[seed-1]
-			}
-			var prof *perf.Profiler
-			if perfOn {
-				prof = perfs[seed-1]
-			}
-			return buildOptions(hub, prof), nil
+			opts := base
+			opts.Observers = observers[seed-1]
+			return opts, nil
 		})
 		reporter.Stop()
 		if err != nil {
@@ -437,15 +400,13 @@ func run() int {
 		if *coverage {
 			printCoverage(sr.Coverage, sr.Crash)
 		}
-		printPerf(sr.Perf, *phaseProfile, *traceDump)
+		printPerf(mergeObservers(observers).Perf, *phaseProfile, *traceDump)
 		writeHeatmap(sr.CrashHeatmap)
 		if sr.Bug != nil {
 			if *bundleDir != "" {
-				// The bug worker's options (its seed included) are what a
-				// replay must rebuild; SwarmRun assigned it seed worker+1.
-				opts := buildOptions(nil, nil)
-				opts.Seed = int64(sr.BugWorker + 1)
-				writeBundle(opts, sr.Workers[sr.BugWorker])
+				// A replay must rebuild the bug worker's options, its seed
+				// included; SwarmRun assigned it seed worker+1.
+				writeBundle(int64(sr.BugWorker+1), sr.Workers[sr.BugWorker])
 			}
 			return 3
 		}
@@ -453,26 +414,15 @@ func run() int {
 			if *bundleDir != "" && sr.ErrWorker >= 0 {
 				// A run that died (out of memory, say) still leaves its
 				// evidence: config, journal, metrics — just no bug.json.
-				opts := buildOptions(nil, nil)
-				opts.Seed = int64(sr.ErrWorker + 1)
-				writeBundle(opts, sr.Workers[sr.ErrWorker])
+				writeBundle(int64(sr.ErrWorker+1), sr.Workers[sr.ErrWorker])
 			}
 			return 1
 		}
 		return 0
 	}
 
-	var hub *obs.Hub
-	if obsOn {
-		hub = hubs[0]
-	}
-	var prof *perf.Profiler
-	if perfOn {
-		prof = perfs[0]
-	}
-	opts := buildOptions(hub, prof)
-	opts.Journal = jw
-	opts.Stream = bus
+	opts := base
+	opts.Observers = observers[0]
 	session, err := mcfs.NewSession(opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mcfs: %v\n", err)
@@ -486,19 +436,17 @@ func run() int {
 	if *coverage {
 		printCoverage(res.Coverage, res.Crash)
 	}
-	if p := mergedPerf(); p != nil {
-		printPerf(*p, *phaseProfile, *traceDump)
-	}
+	printPerf(mergeObservers(observers).Perf, *phaseProfile, *traceDump)
 	writeHeatmap(res.CrashHeatmap)
 	if res.Bug != nil {
 		if *bundleDir != "" {
-			writeBundle(opts, res)
+			writeBundle(base.Seed, res)
 		}
 		return 3
 	}
 	if res.Err != nil {
 		if *bundleDir != "" {
-			writeBundle(opts, res)
+			writeBundle(base.Seed, res)
 		}
 		return 1
 	}
@@ -660,12 +608,37 @@ func printResult(res mcfs.Result, traceDump bool) {
 	}
 }
 
+// mergeObservers folds every engine's hub and phase profile into one
+// metrics document: /metrics serves it, a bundle ships its hub
+// snapshot, and printPerf renders its profile (nil without profilers).
+// A single engine's profile keeps its telemetry samples; merging
+// several drops them, since workers sample on independent virtual
+// clocks.
+func mergeObservers(observers []mcfs.Observers) metricsDoc {
+	var doc metricsDoc
+	var snaps []obs.Snapshot
+	for _, o := range observers {
+		if o.Obs != nil {
+			snaps = append(snaps, o.Obs.Snapshot())
+		}
+		if o.Perf != nil {
+			p := o.Perf.Snapshot()
+			if doc.Perf != nil {
+				p = doc.Perf.Merge(p)
+			}
+			doc.Perf = &p
+		}
+	}
+	doc.Snapshot = obs.Merge(snaps...)
+	return doc
+}
+
 // printPerf renders the run's phase profile: the human breakdown table
 // under -phase-profile, and the machine-readable JSON document (the
 // same "perf" section /metrics serves) under -trace-dump. Silent when
 // no phase work was recorded.
-func printPerf(snap perf.Snapshot, table, dump bool) {
-	if !snap.Enabled() {
+func printPerf(snap *perf.Snapshot, table, dump bool) {
+	if snap == nil || !snap.Enabled() {
 		return
 	}
 	if table {
@@ -809,7 +782,7 @@ func startEventSink(bus *stream.Bus, path string) (func(), error) {
 // the per-worker check-latency p50/p99 (zero until a worker records its
 // first comparison). The returned stop function renders one final frame
 // and stops the refresher.
-func startTopView(bus *stream.Bus, hubs []*obs.Hub, isSwarm bool, every time.Duration) func() {
+func startTopView(bus *stream.Bus, observers []mcfs.Observers, isSwarm bool, every time.Duration) func() {
 	render := func() int {
 		h := bus.Workers()
 		lines := 0
@@ -823,8 +796,8 @@ func startTopView(bus *stream.Bus, hubs []*obs.Hub, isSwarm bool, every time.Dur
 			if !isSwarm && w.Worker == 0 {
 				hi = 0
 			}
-			if hi >= 0 && hi < len(hubs) {
-				cmp = hubs[hi].Histogram(obs.MetricCompare).Snapshot()
+			if hi >= 0 && hi < len(observers) {
+				cmp = observers[hi].Obs.Histogram(obs.MetricCompare).Snapshot()
 			}
 			fmt.Fprintf(os.Stderr,
 				"\x1b[2K%-5s %-8s %-10s ops %-9d unique %-8d revisits %-8d depth %-3d crash %-7d check p50 %-10v p99 %v\n",

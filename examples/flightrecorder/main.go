@@ -44,9 +44,9 @@ func main() {
 			{Kind: "verifs1"},
 			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
 		},
-		MaxDepth: 3,
-		MaxOps:   5000,
-		Journal:  jw,
+		MaxDepth:  3,
+		MaxOps:    5000,
+		Observers: mcfs.Observers{Journal: jw},
 	}
 	session, err := mcfs.NewSession(opts)
 	if err != nil {

@@ -47,7 +47,8 @@ func main() {
 		MaxDepth:         1,
 		MaxOps:           5000,
 		CrashExploration: true,
-		Stream:           bus, // a nil bus disables all event emission at zero cost
+		// A nil bus disables all event emission at zero cost.
+		Observers: mcfs.Observers{Stream: bus},
 	})
 	if err != nil {
 		log.Fatal(err)

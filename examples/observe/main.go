@@ -38,7 +38,8 @@ func main() {
 		},
 		MaxDepth: 3,
 		MaxOps:   5000,
-		Obs:      hub, // a nil hub disables all instrumentation at zero cost
+		// A nil hub disables all instrumentation at zero cost.
+		Observers: mcfs.Observers{Obs: hub},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -54,9 +54,9 @@ func main() {
 				{Kind: "verifs1"},
 				{Kind: "verifs2", Bugs: []string{mcfs.BugSizeUpdateOnOverflow}},
 			},
-			MaxDepth: 3,
-			MaxOps:   1500, // deliberately small per-worker budget
-			Obs:      hubs[seed-1],
+			MaxDepth:  3,
+			MaxOps:    1500, // deliberately small per-worker budget
+			Observers: mcfs.Observers{Obs: hubs[seed-1]},
 		}, nil
 	}
 

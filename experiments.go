@@ -2,15 +2,9 @@ package mcfs
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
-	"mcfs/internal/mc"
-	"mcfs/internal/mc/visited"
 	"mcfs/internal/memmodel"
-	"mcfs/internal/obs"
-	"mcfs/internal/obs/journal"
-	"mcfs/internal/obs/perf"
 )
 
 // This file regenerates the paper's evaluation (§6): Figure 2's
@@ -222,10 +216,12 @@ type Figure3Config struct {
 	// Progress, when non-nil, receives every simulated point as it is
 	// computed, letting callers stream the multi-day series live.
 	Progress func(Figure3Point)
-	// Obs, when non-nil, is threaded into the calibration exploration and
+	// Observers are threaded into the calibration exploration: Journal
+	// and Stream record every worker in swarm mode, Obs and Perf the
+	// first worker only (they rebase onto one session's clock). Obs also
 	// tracks the simulated series as gauges ("figure3.day" in hours,
 	// "figure3.ops_per_sec", "figure3.swap_gb").
-	Obs *obs.Hub
+	Observers
 	// CalibrationWorkers, when > 1, calibrates BasePerOp with a
 	// coordinated swarm of diversified workers instead of one run,
 	// averaging the per-operation cost over every worker's exploration.
@@ -233,24 +229,12 @@ type Figure3Config struct {
 	// ShareVisited makes the calibration swarm share one visited table
 	// (workers skip states their peers already expanded).
 	ShareVisited bool
-	// Journal, when non-nil, flight-records the calibration exploration
-	// (every worker, in swarm mode) so even the long-run pipeline leaves
-	// a replayable artifact.
-	Journal *journal.Writer
 	// Crash calibrates with crash-consistency checking enabled. Crash
 	// probing needs a crash plane (snapshotable media), which the
 	// FUSE-backed VeriFS pair does not expose, so the crash calibration
 	// runs the ext2-vs-ext4 pair instead — the configuration whose fsck
 	// and power-cycle costs the profiler is there to surface.
 	Crash bool
-	// Perf, when non-nil, is threaded into the calibration exploration
-	// (the first worker, in swarm mode) so long runs can report phase
-	// shares and crash-point rates alongside the simulated series.
-	Perf *perf.Profiler
-	// Stream, when non-nil, receives the calibration exploration's live
-	// event feed (every worker, in swarm mode) so long runs can serve
-	// /events and /workers next to /metrics.
-	Stream *Stream
 	// Visited selects the calibration run's visited-table backend
 	// ("exact", "compact", "bitstate" — see Options.Visited); the
 	// multi-day simulation itself is analytic and unaffected.
@@ -269,30 +253,21 @@ type Figure3Config struct {
 // workers > 1 the measurement is a coordinated swarm and the per-op
 // cost averages over every worker's (virtual) exploration time.
 func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
-	hub, jw := cfg.Obs, cfg.Journal
-	workers, share := cfg.CalibrationWorkers, cfg.ShareVisited
-	calOptions := func(seed int64) Options {
-		o := Options{
-			Targets:       []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth:      4,
-			MaxOps:        400,
-			Seed:          seed,
-			Visited:       cfg.Visited,
-			BitstateBytes: cfg.BitstateBytes,
-			MemBudget:     cfg.MemBudget,
-		}
-		if cfg.Crash {
-			o.Targets = []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}
-			o.CrashExploration = true
-		}
-		return o
+	cal := Options{
+		Targets:       []TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth:      4,
+		MaxOps:        400,
+		Visited:       cfg.Visited,
+		BitstateBytes: cfg.BitstateBytes,
+		MemBudget:     cfg.MemBudget,
 	}
-	if workers <= 1 {
-		o := calOptions(0)
-		o.Obs = hub
-		o.Journal = jw
-		o.Perf = cfg.Perf
-		o.Stream = cfg.Stream
+	if cfg.Crash {
+		cal.Targets = []TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}}
+		cal.CrashExploration = true
+	}
+	if cfg.CalibrationWorkers <= 1 {
+		o := cal
+		o.Observers = cfg.Observers
 		s, err := NewSession(o)
 		if err != nil {
 			return 0, 0, err
@@ -308,39 +283,20 @@ func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
 		return res.Elapsed / time.Duration(res.Ops), sessionStateBytes(s), nil
 	}
 
-	var mu sync.Mutex
-	var sessions []*Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	// A reduced backend or an armed budget means one swarm-wide governed
-	// table (sharing implied), mirroring the facade's SwarmRun wiring.
-	shared, err := newVisitedSet(cfg.Visited, cfg.BitstateBytes, cfg.MemBudget, share, visited.Hooks{})
-	if err != nil {
-		return 0, 0, err
-	}
-	sr, err := mc.SwarmRun(mc.SwarmOptions{Workers: workers, Shared: shared,
-		Journal: jw, Stream: cfg.Stream},
-		func(seed int64) (mc.Config, error) {
-			o := calOptions(seed)
+	var sw sessionSwarm
+	defer sw.close()
+	sr, err := sw.run(SwarmOptions{Workers: cfg.CalibrationWorkers, ShareVisited: cfg.ShareVisited,
+		Visited: cfg.Visited, BitstateBytes: cfg.BitstateBytes, MemBudget: cfg.MemBudget,
+		Journal: cfg.Journal, Stream: cfg.Stream},
+		func(seed int64) (Options, error) {
+			o := cal
 			if seed == 1 {
 				// The hub and profiler rebase onto one session's virtual
 				// clock, so only the first worker carries them.
-				o.Obs = hub
+				o.Obs = cfg.Obs
 				o.Perf = cfg.Perf
 			}
-			s, err := NewSession(o)
-			if err != nil {
-				return mc.Config{}, err
-			}
-			mu.Lock()
-			sessions = append(sessions, s)
-			mu.Unlock()
-			return *s.Config(), nil
+			return o, nil
 		})
 	if err != nil {
 		return 0, 0, err
@@ -355,9 +311,7 @@ func measureBasePerOp(cfg Figure3Config) (time.Duration, int64, error) {
 	for _, r := range sr.Workers {
 		elapsed += r.Elapsed
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	return elapsed / time.Duration(sr.Ops), sessionStateBytes(sessions[0]), nil
+	return elapsed / time.Duration(sr.Ops), sessionStateBytes(sw.built()[0]), nil
 }
 
 // sessionStateBytes sums the per-target concrete-state sizes, falling

@@ -14,7 +14,7 @@ func TestMajorityVoteIdentifiesDeviant(t *testing.T) {
 	// Three file systems, one seeded with a bug: majority voting must
 	// name the buggy one as the deviant (§7: "use a majority-voting
 	// approach to recognize incorrect file-system behavior").
-	s, err := mcfs.NewSession(mcfs.Options{
+	opts := mcfs.Options{
 		Targets: []mcfs.TargetSpec{
 			{Kind: "verifs1"},
 			{Kind: "verifs2"},
@@ -23,7 +23,8 @@ func TestMajorityVoteIdentifiesDeviant(t *testing.T) {
 		MaxDepth:     3,
 		MaxOps:       100000,
 		MajorityVote: true,
-	})
+	}
+	s, err := mcfs.NewSession(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +45,21 @@ func TestMajorityVoteIdentifiesDeviant(t *testing.T) {
 	}
 	if strings.Contains(joined, "verifs2#1 deviates") || strings.Contains(joined, "verifs1#0 deviates") {
 		t.Errorf("healthy target blamed:\n%s", joined)
+	}
+
+	// The trail must replay as the same majority-vote bug: replay judges
+	// it with the checks the run used, not the pairwise ones.
+	fresh, err := mcfs.NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	got, same, err := fresh.VerifyTrail(res.Bug.Trail, res.Bug.Discrepancy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same || got.Kind != "majority-vote" {
+		t.Errorf("trail replay: same=%v, discrepancy %v; want the majority-vote bug", same, got)
 	}
 }
 

@@ -101,6 +101,81 @@ func seededArtifacts(t *testing.T, opts mcfs.Options) (jbytes, ebytes []byte) {
 	return jbytes, events.Bytes()
 }
 
+// goldenSwarm is the pinned swarm run:
+// mcfs -fs ext2 -fs ext4 -swarm 3 -depth 3 -max-ops 300. Its workers use
+// independent tables and find no bug, so each runs to its budget and
+// its own records and events do not depend on how the workers
+// interleave. Only the bus's global Seq does, so it is zeroed.
+const (
+	goldenSwarmName    = "ext2-ext4-swarm3"
+	goldenSwarmWorkers = 3
+)
+
+// swarmArtifacts runs the pinned swarm with a shared journal and event
+// stream and returns, per worker (index w is worker w+1), the worker's
+// journal records and its events with Seq zeroed, each encoded as JSON
+// lines.
+func swarmArtifacts(t *testing.T) (journals, events [][]byte) {
+	t.Helper()
+	var jbuf bytes.Buffer
+	jw := journal.NewWriter(&jbuf, journal.Options{})
+	bus := stream.New(stream.Options{})
+	sub := bus.Subscribe(1 << 16)
+	defer sub.Close()
+	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{
+		Workers: goldenSwarmWorkers,
+		Journal: jw,
+		Stream:  bus,
+	}, func(int64) (mcfs.Options, error) {
+		return mcfs.Options{
+			Targets: []mcfs.TargetSpec{
+				{Kind: "ext2", Backing: mcfs.BackingRAM},
+				{Kind: "ext4", Backing: mcfs.BackingRAM},
+			},
+			MaxDepth: 3,
+			MaxOps:   300,
+		}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Err != nil || sr.Bug != nil {
+		t.Fatalf("swarm: err %v, bug %v", sr.Err, sr.Bug)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := sub.Dropped(); n > 0 {
+		t.Fatalf("event subscriber dropped %d events", n)
+	}
+	recs, err := journal.Read(&jbuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := sub.Drain()
+	for w := 1; w <= goldenSwarmWorkers; w++ {
+		var jb, eb bytes.Buffer
+		jenc, eenc := json.NewEncoder(&jb), json.NewEncoder(&eb)
+		for _, r := range journal.WorkerRecords(recs, w) {
+			if err := jenc.Encode(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, ev := range evs {
+			if ev.Worker != w {
+				continue
+			}
+			ev.Seq = 0
+			if err := eenc.Encode(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		journals = append(journals, jb.Bytes())
+		events = append(events, eb.Bytes())
+	}
+	return journals, events
+}
+
 // loadGoldenDigests parses "<sha256>  <name>" lines.
 func loadGoldenDigests(t *testing.T) map[string]string {
 	t.Helper()
@@ -126,28 +201,39 @@ func loadGoldenDigests(t *testing.T) map[string]string {
 
 // TestSeededArtifactsGolden pins the journal and event-stream bytes of
 // two seeded runs — one that finds a bug, one that exhausts its budget
-// on kernel file systems — so a refactor that claims to keep both
-// byte-identical is checked rather than trusted.
+// on kernel file systems — and each worker's share of a three-worker
+// swarm, so a refactor that claims to keep them byte-identical is
+// checked rather than trusted.
 func TestSeededArtifactsGolden(t *testing.T) {
-	want := loadGoldenDigests(t)
-	var got strings.Builder
+	type artifact struct {
+		name  string
+		bytes []byte
+	}
+	var artifacts []artifact
 	for _, c := range goldenConfigs {
 		jb, eb := seededArtifacts(t, c.opts)
-		for _, a := range []struct {
-			name  string
-			bytes []byte
-		}{
-			{c.name + ".journal.jsonl", jb},
-			{c.name + ".events.ndjson", eb},
-		} {
-			sum := fmt.Sprintf("%x", sha256.Sum256(a.bytes))
-			fmt.Fprintf(&got, "%s  %s\n", sum, a.name)
-			if len(a.bytes) == 0 {
-				t.Errorf("%s: empty artifact", a.name)
-			}
-			if want[a.name] != sum {
-				t.Errorf("%s: sha256 %s, want %s", a.name, sum, want[a.name])
-			}
+		artifacts = append(artifacts,
+			artifact{c.name + ".journal.jsonl", jb},
+			artifact{c.name + ".events.ndjson", eb})
+	}
+	journals, events := swarmArtifacts(t)
+	for i := range journals {
+		prefix := fmt.Sprintf("%s.w%d", goldenSwarmName, i+1)
+		artifacts = append(artifacts,
+			artifact{prefix + ".journal.jsonl", journals[i]},
+			artifact{prefix + ".events.ndjson", events[i]})
+	}
+
+	want := loadGoldenDigests(t)
+	var got strings.Builder
+	for _, a := range artifacts {
+		sum := fmt.Sprintf("%x", sha256.Sum256(a.bytes))
+		fmt.Fprintf(&got, "%s  %s\n", sum, a.name)
+		if len(a.bytes) == 0 {
+			t.Errorf("%s: empty artifact", a.name)
+		}
+		if want[a.name] != sum {
+			t.Errorf("%s: sha256 %s, want %s", a.name, sum, want[a.name])
 		}
 	}
 	if t.Failed() {

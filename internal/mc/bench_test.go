@@ -18,10 +18,10 @@ func benchExplore(b *testing.B, hub func() *obs.Hub) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   300,
-			Obs:      hub(),
+			Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:  2,
+			MaxOps:    300,
+			Observers: mcfs.Observers{Obs: hub()},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -54,10 +54,10 @@ func BenchmarkExploreWithPerf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   300,
-			Perf:     perf.New(nil),
+			Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:  2,
+			MaxOps:    300,
+			Observers: mcfs.Observers{Perf: perf.New(nil)},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -81,10 +81,10 @@ func BenchmarkExploreNilStream(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   300,
-			Stream:   nil,
+			Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:  2,
+			MaxOps:    300,
+			Observers: mcfs.Observers{Stream: nil},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -109,10 +109,10 @@ func BenchmarkExploreWithStream(b *testing.B) {
 		bus := mcfs.NewStream()
 		sub := bus.Subscribe(0)
 		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   300,
-			Stream:   bus,
+			Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:  2,
+			MaxOps:    300,
+			Observers: mcfs.Observers{Stream: bus},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -137,10 +137,10 @@ func BenchmarkExploreWithJournal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		jw := journal.NewWriter(io.Discard, journal.Options{})
 		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   300,
-			Journal:  jw,
+			Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:  2,
+			MaxOps:    300,
+			Observers: mcfs.Observers{Journal: jw},
 		})
 		if err != nil {
 			b.Fatal(err)

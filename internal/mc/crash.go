@@ -369,7 +369,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		Writes:     w,
 		OK:         true,
 	}
-	if e.cfg.Journal.Enabled() {
+	if e.jr.Enabled() {
 		opRec := journal.EncodeOp(op)
 		rec.Op = &opRec
 	}
@@ -407,12 +407,12 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		// Poll phase totals around the judgment so the verdict event can
 		// attribute its cost to the dominant recovery phase.
 		var phasesBefore []time.Duration
-		if e.es != nil {
+		if e.cfg.Stream != nil {
 			phasesBefore = e.cfg.Perf.PhaseTotals()
 		}
 		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, capOK, b0, b1, memo)
 		e.heatmap.Record(op.String(), k, w, verdict)
-		if e.es != nil {
+		if e.cfg.Stream != nil {
 			e.emit(stream.Event{
 				Kind:    stream.KindCrashVerdict,
 				Op:      op.String(),
@@ -429,7 +429,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 				return fmt.Errorf("rolling back crash probe: %w", err)
 			}
 			rec.OK = false
-			e.cfg.Journal.Crash(depth, rec)
+			e.jr.Crash(depth, rec)
 			e.report(d, op)
 			e.bug.Crash = &journal.CrashSpec{
 				Target:     p.Target,
@@ -451,7 +451,7 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 	if n := p.Injector.Armed(); n != 0 {
 		return fmt.Errorf("crash probe leaked %d armed crash point(s)", n)
 	}
-	e.cfg.Journal.Crash(depth, rec)
+	e.jr.Crash(depth, rec)
 	return nil
 }
 

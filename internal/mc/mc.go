@@ -42,6 +42,32 @@ import (
 	"mcfs/internal/errno"
 )
 
+// Observers are the four nil-safe sinks a run reports to. A nil field
+// costs one branch at each of its call sites and nothing else. Config
+// and the facade's options embed one value, so the four are threaded
+// together.
+type Observers struct {
+	// Obs receives engine metrics (ops, visited-table hits/misses, DFS
+	// depth) and per-operation cross-layer spans.
+	Obs *obs.Hub
+	// Perf receives phase-level time attribution (checkpoint, execute,
+	// verify, restore, hash, fsck, remount, journal) and per-N-ops
+	// state-space telemetry (novelty decay, frontier depth, duplicate
+	// rate, crash points/sec).
+	Perf *perf.Profiler
+	// Journal is the flight recorder: every operation the engine
+	// explores (with per-target errnos, the abstract state hash reached,
+	// and the visited-table decision), every backtrack, and any bug
+	// found are appended as records stamped with Config.Worker,
+	// replayable with ReplayJournal. One writer serves any number of
+	// concurrent engines.
+	Journal *journal.Writer
+	// Stream receives live exploration events (steps, backtracks, crash
+	// verdicts, worker lifecycle, bugs) stamped with Config.Worker and
+	// the session's virtual time.
+	Stream *stream.Bus
+}
+
 // Config parameterizes one exploration.
 type Config struct {
 	// Kernel hosts all mounted targets.
@@ -76,17 +102,12 @@ type Config struct {
 	// Resume seeds the visited table from an earlier run's Result.Resume,
 	// so exploration continues where the interrupted run left off (§7).
 	Resume *ResumeState
-	// Obs, when set, receives engine metrics (ops, visited-table
-	// hits/misses, DFS depth) and per-operation cross-layer spans.
-	// All instrumentation is nil-safe: a nil Obs costs one branch per
-	// operation and nothing else.
-	Obs *obs.Hub
-	// Perf, when set, receives phase-level time attribution (checkpoint,
-	// execute, verify, restore, hash, fsck, remount, journal) and
-	// per-N-ops state-space telemetry (novelty decay, frontier depth,
-	// duplicate rate, crash points/sec). Nil-safe: a nil profiler costs
-	// one branch per phase boundary.
-	Perf *perf.Profiler
+	// Observers are the run's metrics, phase profile, journal and event
+	// stream sinks.
+	Observers
+	// Worker identifies this engine on its journal records and stream
+	// events (0 for a single engine; SwarmRun assigns 1..N).
+	Worker int
 	// Cancel, when set, is polled between operations: once the token
 	// fires (a swarm peer found a bug or failed, or the caller aborted)
 	// the engine stops promptly and returns a partial Result with
@@ -101,26 +122,12 @@ type Config struct {
 	// engine was the first to discover. When nil, Run builds an exact
 	// table of its own and exports it as Result.Resume.
 	Visited *visited.Set
-	// Journal, when set, is the flight recorder: every operation the
-	// engine explores (with per-target errnos, the abstract state hash
-	// reached, and the visited-table decision), every backtrack, and any
-	// bug found are appended as journal records, replayable with
-	// ReplayJournal. Nil-safe: a nil recorder costs one branch per op.
-	Journal *journal.Recorder
 	// Crash, when set, enables crash-consistency exploration: before
 	// each operation is stepped normally, its write window is probed on
 	// every crash plane — the op runs under an armed crash point, power
 	// loss is simulated with the captured media image, and the recovered
 	// state is checked against the prefix-consistency oracle (crash.go).
 	Crash *CrashConfig
-	// Stream, when set, receives live exploration events (steps,
-	// backtracks, crash verdicts, worker lifecycle, bugs) stamped with
-	// the session's virtual time. Nil-safe: a nil bus costs one branch
-	// per emit site and nothing else.
-	Stream *stream.Bus
-	// StreamWorker identifies this engine on the stream (0 for a single
-	// engine; SwarmRun assigns 1..N).
-	StreamWorker int
 }
 
 // BugReport is a discrepancy plus the trail that produced it.
@@ -235,10 +242,6 @@ func newCoverage() Coverage {
 		ByOpErrno: make(map[string]map[string]int64),
 	}
 }
-
-// NewCoverage returns an empty Coverage, ready to Merge other runs'
-// coverage into (aggregating swarm workers).
-func NewCoverage() Coverage { return newCoverage() }
 
 // Pair returns how often op produced errno.
 func (c Coverage) Pair(op, errName string) int64 {
@@ -367,7 +370,9 @@ type engine struct {
 
 	eobs *engineObs // nil when Config.Obs is unset
 
-	es *engineStream // nil when Config.Stream is unset
+	// jr is the engine's handle on Config.Journal, stamping Config.Worker
+	// on every record; nil when journaling is off.
+	jr *journal.Recorder
 
 	// heatmap aggregates crash-point verdicts; non-nil exactly when
 	// Config.Crash is set (the heatmap needs no bus).
@@ -407,25 +412,16 @@ type engineObs struct {
 	trailTraces [][]obs.Span
 }
 
-// engineStream holds the engine's pre-resolved stream handles: the bus,
-// this engine's worker id, and the session clock the events are stamped
-// from. Virtual timestamps keep the stream bit-deterministic and the
-// walltime analyzer clean.
-type engineStream struct {
-	bus    *stream.Bus
-	worker int
-	now    func() time.Duration
-}
-
-// emit publishes one event stamped with this engine's identity and
-// virtual time. One branch when streaming is off.
+// emit publishes one event stamped with this engine's worker id and the
+// session's virtual time, which keeps the stream bit-deterministic and
+// the walltime analyzer clean. One branch when streaming is off.
 func (e *engine) emit(ev stream.Event) {
-	if e.es == nil {
+	if e.cfg.Stream == nil {
 		return
 	}
-	ev.At = e.es.now()
-	ev.Worker = e.es.worker
-	e.es.bus.Publish(ev)
+	ev.At = e.cfg.Kernel.Clock().Now()
+	ev.Worker = e.cfg.Worker
+	e.cfg.Stream.Publish(ev)
 }
 
 // maybeBeat publishes a worker heartbeat every stream.HeartbeatEvery
@@ -433,7 +429,7 @@ func (e *engine) emit(ev stream.Event) {
 // heartbeats deterministic in virtual time — and makes a hung target
 // read as stale, since a stuck probe stops the counter.
 func (e *engine) maybeBeat() {
-	if e.es == nil || e.executed%stream.HeartbeatEvery != 0 {
+	if e.cfg.Stream == nil || e.executed%stream.HeartbeatEvery != 0 {
 		return
 	}
 	e.emit(stream.Event{
@@ -488,6 +484,7 @@ func Run(cfg Config) Result {
 		ops:      cfg.Pool.Enumerate(),
 		visited:  cfg.Visited,
 		coverage: newCoverage(),
+		jr:       cfg.Journal.Recorder(cfg.Worker),
 		rng:      uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 	}
 	if e.visited == nil {
@@ -506,7 +503,6 @@ func Run(cfg Config) Result {
 		}
 	}
 	if cfg.Stream != nil {
-		e.es = &engineStream{bus: cfg.Stream, worker: cfg.StreamWorker, now: clock.Now}
 		e.emit(stream.Event{
 			Kind:   stream.KindWorkerStart,
 			Detail: fmt.Sprintf("seed=%d", cfg.Seed),
@@ -572,7 +568,7 @@ func Run(cfg Config) Result {
 		Depth:       len(e.trail),
 		Detail:      status,
 	})
-	if cfg.Journal.Enabled() {
+	if e.jr.Enabled() {
 		done := journal.DoneRecord{
 			Ops:          e.executed,
 			UniqueStates: e.unique,
@@ -582,7 +578,7 @@ func Run(cfg Config) Result {
 		if err != nil {
 			done.Err = err.Error()
 		}
-		cfg.Journal.Done(done)
+		e.jr.Done(done)
 	}
 	if e.ownVisited {
 		res.Resume, res.ResumeErr = ExportVisited(e.visited)
@@ -614,12 +610,12 @@ func (e *engine) begin() error {
 		}
 		e.visitCost()
 	}
-	if cfg.Journal.Enabled() {
+	if e.jr.Enabled() {
 		names := make([]string, 0, len(cfg.Checker.Targets()))
 		for _, t := range cfg.Checker.Targets() {
 			names = append(names, t.Name)
 		}
-		cfg.Journal.Meta(journal.Meta{
+		e.jr.Meta(journal.Meta{
 			Version:   journal.Version,
 			Seed:      cfg.Seed,
 			MaxDepth:  cfg.MaxDepth,
@@ -888,7 +884,7 @@ func (e *engine) dfs(depth int) error {
 		}
 		if e.bug != nil {
 			e.attachTrailTrace()
-			if e.cfg.Journal.Enabled() {
+			if e.jr.Enabled() {
 				jt := e.cfg.Perf.Start(perf.PhaseJournal)
 				// The bug op gets no state hash (the discrepancy halts
 				// hashing); the bug record that follows carries the
@@ -896,9 +892,9 @@ func (e *engine) dfs(depth int) error {
 				// crash bug's op was never stepped normally — its probe
 				// already journaled a crash record instead.
 				if e.bug.Crash == nil {
-					e.cfg.Journal.Op(depth, journal.EncodeOp(op), e.lastErrnos, "", false, false)
+					e.jr.Op(depth, journal.EncodeOp(op), e.lastErrnos, "", false, false)
 				}
-				e.cfg.Journal.Bug(journal.BugRecord{
+				e.jr.Bug(journal.BugRecord{
 					Kind:        e.bug.Discrepancy.Kind,
 					Op:          e.bug.Discrepancy.Op,
 					Details:     e.bug.Discrepancy.Details,
@@ -923,13 +919,13 @@ func (e *engine) dfs(depth int) error {
 			// expanded at this depth or shallower — by this engine, or
 			// by any swarm peer when the table is shared.
 			novel, expand := e.visited.Visit(h, childDepth)
-			if e.cfg.Journal.Enabled() {
+			if e.jr.Enabled() {
 				jt := e.cfg.Perf.Start(perf.PhaseJournal)
-				e.cfg.Journal.Op(depth, journal.EncodeOp(op), e.lastErrnos,
+				e.jr.Op(depth, journal.EncodeOp(op), e.lastErrnos,
 					fmt.Sprintf("%x", h[:]), novel, expand)
 				jt.End()
 			}
-			if e.es != nil { // guard: the hex render below is not free
+			if e.cfg.Stream != nil { // guard: the hex render below is not free
 				e.emit(stream.Event{
 					Kind:  stream.KindStep,
 					Op:    op.String(),
@@ -985,9 +981,9 @@ func (e *engine) dfs(depth int) error {
 		if e.cfg.Mem != nil {
 			e.cfg.Mem.Release(e.stateBytes())
 		}
-		if e.cfg.Journal.Enabled() {
+		if e.jr.Enabled() {
 			jt := e.cfg.Perf.Start(perf.PhaseJournal)
-			e.cfg.Journal.Backtrack(depth)
+			e.jr.Backtrack(depth)
 			jt.End()
 		}
 		e.emit(stream.Event{Kind: stream.KindBacktrack, Depth: depth})
@@ -1042,7 +1038,7 @@ func (e *engine) step(op workload.Op) error {
 		e.coverage.ByErrno[r.Err.String()]++
 		pairs[r.Err.String()]++
 	}
-	if e.cfg.Journal.Enabled() {
+	if e.jr.Enabled() {
 		// Scratch reuse is safe: journal records marshal synchronously
 		// inside Append, before the next step can overwrite the slice.
 		e.lastErrnos = e.lastErrnos[:0]
@@ -1053,22 +1049,7 @@ func (e *engine) step(op workload.Op) error {
 
 	vt := e.cfg.Perf.Start(perf.PhaseVerify)
 	defer vt.End()
-	var d *checker.Discrepancy
-	if e.cfg.MajorityVote {
-		d = e.cfg.Checker.CheckResultsMajority(op.String(), results)
-	} else {
-		d = e.cfg.Checker.CheckResults(op.String(), results)
-	}
-	if d != nil {
-		e.report(d, op)
-		return nil
-	}
-	var er errno.Errno
-	if e.cfg.MajorityVote {
-		d, _, er = e.cfg.Checker.CheckAndHashMajority(op.String())
-	} else {
-		d, _, er = e.cfg.Checker.CheckAndHash(op.String())
-	}
+	d, er := check(&e.cfg, op, results)
 	if er != errno.OK {
 		return fmt.Errorf("mc: state check: %w", er)
 	}
@@ -1076,6 +1057,27 @@ func (e *engine) step(op workload.Op) error {
 		e.report(d, op)
 	}
 	return nil
+}
+
+// check runs the post-operation checks on one step's results — the
+// per-target results first, then the abstract states — by majority vote
+// when cfg.MajorityVote is set, pairwise otherwise. Exploration and both
+// replays share it, so a replay judges a trail exactly as the run that
+// recorded it did. A non-OK errno means the states could not be hashed.
+func check(cfg *Config, op workload.Op, results []checker.OpResult) (*checker.Discrepancy, errno.Errno) {
+	name := op.String()
+	if cfg.MajorityVote {
+		if d := cfg.Checker.CheckResultsMajority(name, results); d != nil {
+			return d, errno.OK
+		}
+		d, _, er := cfg.Checker.CheckAndHashMajority(name)
+		return d, er
+	}
+	if d := cfg.Checker.CheckResults(name, results); d != nil {
+		return d, errno.OK
+	}
+	d, _, er := cfg.Checker.CheckAndHash(name)
+	return d, er
 }
 
 func (e *engine) report(d *checker.Discrepancy, op workload.Op) {
@@ -1123,10 +1125,7 @@ func Replay(cfg Config, trail []workload.Op) (*checker.Discrepancy, error) {
 				return nil, fmt.Errorf("mc: replay post-op %s: %w", t.Name(), err)
 			}
 		}
-		if d := cfg.Checker.CheckResults(op.String(), results); d != nil {
-			return d, nil
-		}
-		d, _, er := cfg.Checker.CheckAndHash(op.String())
+		d, er := check(&cfg, op, results)
 		if er != errno.OK {
 			return nil, fmt.Errorf("mc: replay state check: %w", er)
 		}
@@ -1150,4 +1149,3 @@ func VerifyTrail(cfg Config, trail []workload.Op, want *checker.Discrepancy) (*c
 	same := got != nil && (want == nil || got.Kind == want.Kind)
 	return got, same, nil
 }
-

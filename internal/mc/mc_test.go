@@ -250,7 +250,7 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 func TestSwarmFindsBug(t *testing.T) {
 	// Swarm verification (§2): several diversified workers explore
 	// independent instances in parallel; at least one finds the bug.
-	results, err := mcfs.Swarm(4, func(seed int64) (mcfs.Options, error) {
+	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: 4}, func(seed int64) (mcfs.Options, error) {
 		return mcfs.Options{
 			Targets: []mcfs.TargetSpec{
 				{Kind: "verifs1"},
@@ -264,11 +264,11 @@ func TestSwarmFindsBug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("got %d results", len(results))
+	if len(sr.Workers) != 4 {
+		t.Fatalf("got %d results", len(sr.Workers))
 	}
 	found := 0
-	for _, r := range results {
+	for _, r := range sr.Workers {
 		if r.Err != nil {
 			t.Errorf("worker error: %v", r.Err)
 		}

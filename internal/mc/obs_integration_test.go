@@ -20,9 +20,9 @@ func TestTrailSpansCoverWholeTrail(t *testing.T) {
 			{Kind: "verifs1"},
 			{Kind: "verifs2", Bugs: []string{mcfs.BugWriteHoleNoZero}},
 		},
-		MaxDepth: 3,
-		MaxOps:   5000,
-		Obs:      hub,
+		MaxDepth:  3,
+		MaxOps:    5000,
+		Observers: mcfs.Observers{Obs: hub},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +127,10 @@ func TestTrailSpansCoverWholeTrail(t *testing.T) {
 func TestObsResultsMatchUninstrumentedRun(t *testing.T) {
 	run := func(hub *obs.Hub) mcfs.Result {
 		s, err := mcfs.NewSession(mcfs.Options{
-			Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-			MaxDepth: 2,
-			MaxOps:   400,
-			Obs:      hub,
+			Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+			MaxDepth:  2,
+			MaxOps:    400,
+			Observers: mcfs.Observers{Obs: hub},
 		})
 		if err != nil {
 			t.Fatal(err)

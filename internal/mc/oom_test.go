@@ -41,12 +41,11 @@ func TestOOMStructuredFailure(t *testing.T) {
 	defer sub.Close()
 
 	s, err := mcfs.NewSession(mcfs.Options{
-		Targets:  []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
-		MaxDepth: 3,
-		MaxOps:   2000,
-		Memory:   &memCfg,
-		Journal:  jw,
-		Stream:   bus,
+		Targets:   []mcfs.TargetSpec{{Kind: "ext2"}, {Kind: "ext4"}},
+		MaxDepth:  3,
+		MaxOps:    2000,
+		Memory:    &memCfg,
+		Observers: mcfs.Observers{Journal: jw, Stream: bus},
 	})
 	if err != nil {
 		t.Fatal(err)

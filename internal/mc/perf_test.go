@@ -15,10 +15,10 @@ func TestExplorePhaseProfile(t *testing.T) {
 	p := perf.New(nil)
 	p.SetSampleEvery(16)
 	s, err := mcfs.NewSession(mcfs.Options{
-		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-		MaxDepth: 2,
-		MaxOps:   400,
-		Perf:     p,
+		Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth:  2,
+		MaxOps:    400,
+		Observers: mcfs.Observers{Perf: p},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestCrashExplorePhaseProfile(t *testing.T) {
 		MaxDepth:         1,
 		MaxOps:           600,
 		CrashExploration: true,
-		Perf:             p,
+		Observers:        mcfs.Observers{Perf: p},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,10 +127,10 @@ func TestSwarmMergesPerf(t *testing.T) {
 			profilers[seed] = p
 			mu.Unlock()
 			return mcfs.Options{
-				Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-				MaxDepth: 2,
-				MaxOps:   200,
-				Perf:     p,
+				Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+				MaxDepth:  2,
+				MaxOps:    200,
+				Observers: mcfs.Observers{Perf: p},
 			}, nil
 		})
 	if err != nil {

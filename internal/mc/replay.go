@@ -142,7 +142,10 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 			if rec.State == "" {
 				// The bug op: the engine stopped before hashing. Verify
 				// the discrepancy re-occurs with the same checks.
-				d := replayCheck(cfg, op, results)
+				d, er := check(&cfg, op, results)
+				if er != errno.OK {
+					return rep, fmt.Errorf("mc: replay state check: %w", er)
+				}
 				if d == nil {
 					rep.Diverged = true
 					rep.DivergedAt = rec.Seq
@@ -291,26 +294,6 @@ func replayCrashRecord(cfg Config, op workload.Op, rec *journal.CrashRecord) (*c
 		}
 	}
 	return nil, nil
-}
-
-// replayCheck runs the engine's post-op checks (results first, then the
-// abstract-state comparison) and returns the first discrepancy.
-func replayCheck(cfg Config, op workload.Op, results []checker.OpResult) *checker.Discrepancy {
-	var d *checker.Discrepancy
-	if cfg.MajorityVote {
-		d = cfg.Checker.CheckResultsMajority(op.String(), results)
-	} else {
-		d = cfg.Checker.CheckResults(op.String(), results)
-	}
-	if d != nil {
-		return d
-	}
-	if cfg.MajorityVote {
-		d, _, _ = cfg.Checker.CheckAndHashMajority(op.String())
-	} else {
-		d, _, _ = cfg.Checker.CheckAndHash(op.String())
-	}
-	return d
 }
 
 // replayWorker picks the journal worker to replay: the first to record

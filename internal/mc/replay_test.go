@@ -5,6 +5,7 @@
 package mc_test
 
 import (
+	"bytes"
 	"path/filepath"
 	"testing"
 
@@ -330,5 +331,65 @@ func TestSwarmJournaling(t *testing.T) {
 	}
 	if !rep.BugReproduced {
 		t.Fatal("swarm journal replay did not reproduce the bug")
+	}
+}
+
+// TestSwarmFactoryJournalCarriesWorkerIDs pins that the swarm stamps its
+// worker ids on a journal the factory's Options set, not only on the
+// swarm-wide one: each worker's records are its own and replay alone.
+func TestSwarmFactoryJournalCarriesWorkerIDs(t *testing.T) {
+	var buf bytes.Buffer
+	jw := journal.NewWriter(&buf, journal.Options{})
+	opts := mcfs.Options{
+		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth: 2,
+		MaxOps:   50,
+	}
+	const workers = 2
+	sr, err := mcfs.SwarmRun(mcfs.SwarmOptions{Workers: workers}, func(int64) (mcfs.Options, error) {
+		o := opts
+		o.Journal = jw
+		return o, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sr.Err != nil || sr.Bug != nil {
+		t.Fatalf("swarm: err %v, bug %v", sr.Err, sr.Bug)
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := journal.Workers(recs); len(got) != workers {
+		t.Fatalf("journal worker ids %v, want 1..%d", got, workers)
+	}
+	for w := 1; w <= workers; w++ {
+		wr := journal.WorkerRecords(recs, w)
+		if len(wr) == 0 || wr[0].T != journal.TypeMeta || wr[0].Meta.Seed != int64(w) {
+			t.Fatalf("worker %d: journal does not open with its own meta record", w)
+		}
+		if last := wr[len(wr)-1]; last.T != journal.TypeDone || last.Done.Ops != sr.Workers[w-1].Ops {
+			t.Errorf("worker %d: journal not closed with its own done record: %+v", w, last)
+		}
+	}
+
+	s, err := mcfs.NewSession(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rep, err := s.ReplayJournal(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Diverged {
+		t.Fatalf("replay of worker %d diverged at %d: %s", rep.Worker, rep.DivergedAt, rep.Reason)
+	}
+	if rep.Steps == 0 {
+		t.Error("replay verified no steps")
 	}
 }

@@ -31,7 +31,7 @@ func crashStreamNDJSON(t *testing.T) ([]byte, []stream.Event, mcfs.Result) {
 		MaxDepth:         1,
 		MaxOps:           8000,
 		CrashExploration: true,
-		Stream:           bus,
+		Observers:        mcfs.Observers{Stream: bus},
 	})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -128,10 +128,10 @@ func TestSlowSubscriberNeverBlocksEngine(t *testing.T) {
 	defer wide.Close()
 
 	s, err := mcfs.NewSession(mcfs.Options{
-		Targets:  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
-		MaxDepth: 3,
-		MaxOps:   2000,
-		Stream:   bus,
+		Targets:   []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
+		MaxDepth:  3,
+		MaxOps:    2000,
+		Observers: mcfs.Observers{Stream: bus},
 	})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
@@ -253,7 +253,7 @@ func TestEarlyFailureDrainsWorker(t *testing.T) {
 				Targets:                  []mcfs.TargetSpec{{Kind: "verifs1"}, {Kind: "verifs2"}},
 				MaxDepth:                 2,
 				DisableEqualizeFreeSpace: c.noEqual,
-				Stream:                   bus,
+				Observers:                mcfs.Observers{Stream: bus},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -96,15 +96,14 @@ type SwarmOptions struct {
 	// the coordinator creates an internal token. Either way the token is
 	// installed into every worker Config (overriding factory-set ones).
 	Cancel *Cancel
-	// Journal, when set, gives every worker a flight-recorder handle on
-	// this shared writer (worker ids 1..Workers), unless the factory's
-	// Config already carries one. The writer interleaves workers'
-	// records; journal.WorkerRecords de-multiplexes them.
+	// Journal, when set, is the journal of every worker whose factory
+	// Config carries none. The writer interleaves workers' records;
+	// journal.WorkerRecords de-multiplexes them by worker id.
 	Journal *journal.Writer
-	// Stream, when set, is installed into every worker Config (worker
-	// ids 1..Workers, unless the factory already set one): all workers
-	// publish their exploration events and heartbeats to this one bus,
-	// and SwarmResult.WorkerHealth snapshots its liveness view.
+	// Stream, when set, is the event bus of every worker whose factory
+	// Config carries none: all workers publish their exploration events
+	// and heartbeats to this one bus, and SwarmResult.WorkerHealth
+	// snapshots its liveness view.
 	Stream *stream.Bus
 }
 
@@ -175,8 +174,9 @@ type SwarmResult struct {
 // all sharing one cancellation token — the first bug, engine failure, or
 // caller abort stops every worker promptly. The factory must build a
 // fully independent Config (own kernel, file systems, checker, trackers)
-// per seed; the coordinator installs the cancellation token and the
-// Shared visited table, if any, into each Config.
+// per seed; the coordinator installs the cancellation token, the Shared
+// visited table, if any, and the worker id (w+1 for the worker at index
+// w) into each Config, and fills a nil Journal or Stream from opts.
 //
 // SwarmRun returns an error only for setup failures (bad options, a
 // factory error — after draining already-started workers). Engine
@@ -205,8 +205,7 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 
 	var (
 		results    = make([]Result, n)
-		hubs       = make([]*obs.Hub, n)
-		profilers  = make([]*perf.Profiler, n)
+		observers  = make([]Observers, n)
 		sem        = make(chan struct{}, par)
 		wg         sync.WaitGroup
 		mu         sync.Mutex // guards the fields below
@@ -254,15 +253,14 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 			} else if cfg.Resume == nil {
 				cfg.Resume = opts.Resume
 			}
-			if cfg.Journal == nil && opts.Journal != nil {
-				cfg.Journal = opts.Journal.Recorder(w + 1)
+			cfg.Worker = w + 1
+			if cfg.Journal == nil {
+				cfg.Journal = opts.Journal
 			}
-			if cfg.Stream == nil && opts.Stream != nil {
+			if cfg.Stream == nil {
 				cfg.Stream = opts.Stream
-				cfg.StreamWorker = w + 1
 			}
-			hubs[w] = cfg.Obs
-			profilers[w] = cfg.Perf
+			observers[w] = cfg.Observers
 			res := runWorker(cfg)
 			results[w] = res
 			if res.Bug != nil {
@@ -298,18 +296,16 @@ func SwarmRun(opts SwarmOptions, factory func(seed int64) (Config, error)) (Swar
 	}
 	sr.Err, sr.ErrWorker = runErr, errWorker
 	var snaps []obs.Snapshot
-	for _, h := range hubs {
-		if h != nil {
-			snaps = append(snaps, h.Snapshot())
+	for _, o := range observers {
+		if o.Obs != nil {
+			snaps = append(snaps, o.Obs.Snapshot())
+		}
+		if o.Perf != nil {
+			sr.Perf = sr.Perf.Merge(o.Perf.Snapshot())
 		}
 	}
 	if len(snaps) > 0 {
 		sr.Metrics = obs.Merge(snaps...)
-	}
-	for _, p := range profilers {
-		if p != nil {
-			sr.Perf = sr.Perf.Merge(p.Snapshot())
-		}
 	}
 	if factoryErr != nil {
 		return sr, factoryErr
@@ -338,7 +334,7 @@ func runWorker(cfg Config) (res Result) {
 			if cfg.Stream != nil {
 				ev := stream.Event{
 					Kind:   stream.KindWorkerPanic,
-					Worker: cfg.StreamWorker,
+					Worker: cfg.Worker,
 					Detail: fmt.Sprintf("%v", r),
 				}
 				if cfg.Kernel != nil {
@@ -395,18 +391,4 @@ func mergeSwarm(opts SwarmOptions, results []Result, shared *visited.Set) SwarmR
 	}
 	sr.DuplicateStates = sr.UniqueStates - sr.GlobalUniqueStates
 	return sr
-}
-
-// Swarm runs n diversified engines concurrently and returns the raw
-// per-worker results in seed order — the original fire-and-forget swarm
-// API, now backed by the coordinated SwarmRun: the first bug or failure
-// cancels the remaining workers, and a factory error drains every
-// started worker before returning instead of leaking goroutines that
-// kept exploring (and writing results) after the function returned.
-func Swarm(n int, factory func(seed int64) (Config, error)) ([]Result, error) {
-	sr, err := SwarmRun(SwarmOptions{Workers: n}, factory)
-	if err != nil {
-		return nil, err
-	}
-	return sr.Workers, nil
 }

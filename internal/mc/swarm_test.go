@@ -479,7 +479,7 @@ func benchmarkSwarm(b *testing.B, share bool) {
 }
 
 func BenchmarkSwarmIndependent(b *testing.B) { benchmarkSwarm(b, false) }
-func BenchmarkSwarmShared(b *testing.B)     { benchmarkSwarm(b, true) }
+func BenchmarkSwarmShared(b *testing.B)      { benchmarkSwarm(b, true) }
 
 // --- Shared visited-table memory accounting --------------------------------
 
@@ -663,7 +663,6 @@ func TestSwarmWorkerPanicIsolated(t *testing.T) {
 	}
 }
 
-
 // TestPanicProducesPartialTrail pins the PanicError contract at the
 // engine level with a deterministic crash site: a single-op pool whose
 // DFS descends immediately (create at depth 0, EEXIST-prune at depth 1),
@@ -678,8 +677,8 @@ func TestPanicProducesPartialTrail(t *testing.T) {
 			Files: []string{"/f0"},
 			Ops:   []mcfs.OpKind{mcfs.OpCreateFile},
 		},
-		MaxDepth: 3,
-		Obs:      hub,
+		MaxDepth:  3,
+		Observers: mcfs.Observers{Obs: hub},
 	})
 	if err != nil {
 		t.Fatal(err)

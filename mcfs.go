@@ -45,8 +45,8 @@ import (
 	"mcfs/internal/abstraction"
 	"mcfs/internal/blockdev"
 	"mcfs/internal/checker"
-	"mcfs/internal/fault"
 	"mcfs/internal/errno"
+	"mcfs/internal/fault"
 	"mcfs/internal/fs/extfs"
 	"mcfs/internal/fs/jffs2sim"
 	"mcfs/internal/fs/verifs1"
@@ -116,6 +116,9 @@ type (
 	// compact, or bitstate); carried by Result.Fidelity and
 	// SwarmResult.Fidelity.
 	Fidelity = visited.Fidelity
+	// Observers are the metrics hub, phase profiler, journal and event
+	// stream a session or swarm worker reports to; Options embeds one.
+	Observers = mc.Observers
 )
 
 // Visited-table fidelity levels, re-exported from mc/visited.
@@ -155,10 +158,6 @@ const (
 	OpChmod      = workload.OpChmod
 	OpRead       = workload.OpRead
 )
-
-// NewCoverage returns an empty Coverage ready to Merge per-worker
-// coverage into (aggregating swarm results).
-func NewCoverage() Coverage { return mc.NewCoverage() }
 
 // Backing selects the storage behind a device-backed file system.
 type Backing string
@@ -244,23 +243,13 @@ type Options struct {
 	// Resume seeds the visited-state table from a previous run's
 	// Result.Resume, continuing an interrupted exploration (§7).
 	Resume *ResumeState
-	// Obs attaches an observability hub: the kernel, checker, trackers,
-	// devices, and FUSE transport all record metrics and spans into it,
-	// and the engine exports live progress through it. Nil disables all
-	// instrumentation at zero cost.
-	Obs *obs.Hub
-	// Journal attaches a flight recorder: every explored operation,
-	// visited-table decision, backtrack, and bug is appended as a
-	// replayable journal record (worker id 0 for a single session). Nil
-	// disables journaling at one branch per operation.
-	Journal *journal.Writer
-	// Perf attaches a phase profiler: the engine attributes virtual time
-	// to its named phases (checkpoint, execute, verify, restore, hash,
-	// fsck, remount, journal) and samples state-space telemetry every N
-	// executed operations. The session rebases the profiler onto its
-	// virtual clock. Nil disables phase profiling at one branch per
-	// phase boundary.
-	Perf *perf.Profiler
+	// Observers attach the session's sinks, each nil-safe. Obs is also
+	// wired into the kernel, checker, trackers, devices, and FUSE
+	// transport, which record metrics and spans into it; the session
+	// rebases Obs and Perf onto its virtual clock. Journal records and
+	// Stream events carry worker id 0 for a single session; a swarm
+	// stamps its workers 1..Workers.
+	Observers
 	// CrashExploration enables crash-consistency checking: before each
 	// explored operation is committed, its write window is crash-tested
 	// on every crash-testable target — simulate power loss at sampled
@@ -272,14 +261,6 @@ type Options struct {
 	// CrashPointsPerOp caps sampled crash points per probed operation
 	// (mc.DefaultCrashPointsPerOp when 0).
 	CrashPointsPerOp int
-	// Stream attaches a live exploration event bus: the engine publishes
-	// steps, backtracks, crash verdicts, worker heartbeats, and bugs to
-	// it, stamped with the session's virtual clock. Nil disables
-	// streaming at one branch per emit site.
-	Stream *Stream
-	// StreamWorker identifies this session on the stream (0 for a single
-	// session; SwarmRun assigns 1..Workers itself).
-	StreamWorker int
 	// FsckWorkers bounds the worker pool of the parallel post-recovery
 	// fsck on ext targets (0 = GOMAXPROCS, capped internally). Any value
 	// produces identical problem reports; this knob only trades CPU for
@@ -316,7 +297,6 @@ type Session struct {
 	servers  []*fuse.Server
 	cfg      mc.Config
 	mem      *memmodel.Model
-	obsHub   *obs.Hub
 
 	// Visited-table selection, applied when the session runs (see Run).
 	visitedKind   string
@@ -337,12 +317,13 @@ func NewSession(opts Options) (*Session, error) {
 	}
 	clock := simclock.New()
 	k := kernel.New(clock)
-	s := &Session{clock: clock, kern: k, obsHub: opts.Obs, crash: opts.CrashExploration,
-		fsckWorkers: opts.FsckWorkers, visitedKind: opts.Visited,
+	// The observers go in first: mounting wires devices to cfg.Obs.
+	s := &Session{clock: clock, kern: k, cfg: mc.Config{Observers: opts.Observers},
+		crash: opts.CrashExploration, fsckWorkers: opts.FsckWorkers, visitedKind: opts.Visited,
 		bitstateBytes: opts.BitstateBytes, memBudget: opts.MemBudget}
-	// Rebase the hub and profiler onto this session's virtual clock so
-	// every span, latency, and phase observation is in deterministic
-	// virtual time.
+	// The one rebase point: the hub and profiler move onto this
+	// session's virtual clock, so every span, latency, and phase
+	// observation is in deterministic virtual time.
 	opts.Obs.SetNow(clock.Now)
 	opts.Perf.SetNow(clock.Now)
 	k.SetObs(opts.Obs)
@@ -424,11 +405,7 @@ func NewSession(opts Options) (*Session, error) {
 		EqualizeFreeSpace: !opts.DisableEqualizeFreeSpace,
 		MajorityVote:      opts.MajorityVote,
 		Resume:            opts.Resume,
-		Obs:               opts.Obs,
-		Journal:           opts.Journal.Recorder(0),
-		Perf:              opts.Perf,
-		Stream:            opts.Stream,
-		StreamWorker:      opts.StreamWorker,
+		Observers:         opts.Observers,
 	}
 	if opts.CrashExploration {
 		if len(s.crashPlanes) == 0 {
@@ -452,7 +429,7 @@ func (s *Session) deviceFor(name string, ts TargetSpec, size int64) *blockdev.Di
 		profile = blockdev.HDDProfile
 	}
 	d := blockdev.NewDisk(name, size, 4096, profile, s.clock)
-	d.SetObs(s.obsHub)
+	d.SetObs(s.cfg.Obs)
 	return d
 }
 
@@ -678,7 +655,7 @@ func (s *Session) mountTarget(point string, ts TargetSpec, idx int) error {
 		// JFFS2 mounts on an MTD device (mtdram); MCFS reaches the flash
 		// through the mtdblock bridge for state tracking (§4).
 		mtd := blockdev.NewMTD(fmt.Sprintf("mtd%d", idx), size, 8*1024, clock)
-		mtd.SetObs(s.obsHub)
+		mtd.SetObs(s.cfg.Obs)
 		if err := jffs2sim.Mkfs(mtd); err != nil {
 			return err
 		}
@@ -710,7 +687,7 @@ func (s *Session) mountTarget(point string, ts TargetSpec, idx int) error {
 		})
 		s.servers = append(s.servers, srv)
 		client := fuse.NewClient(srv, clock)
-		client.SetObs(s.obsHub)
+		client.SetObs(s.cfg.Obs)
 		return k.Mount(point, kernel.FilesystemSpec{
 			Type:    ts.Kind,
 			Mounter: func() (vfs.FS, error) { return client, nil },
@@ -795,7 +772,7 @@ func (s *Session) trackerFor(point string, ts TargetSpec, vmGroup **tracker.VMGr
 // session exports its table for resume; a reduced-fidelity backend
 // refuses with a typed error the result carries instead of a snapshot.
 func (s *Session) Run() Result {
-	hooks := governorHooks(func() []*obs.Hub { return []*obs.Hub{s.obsHub} }, s.cfg.Stream, s.cfg.StreamWorker)
+	hooks := governorHooks(func() []*obs.Hub { return []*obs.Hub{s.cfg.Obs} }, s.cfg.Stream)
 	set, err := newVisitedSet(s.visitedKind, s.bitstateBytes, s.memBudget, false, hooks)
 	if err != nil {
 		return Result{Err: err}
@@ -838,9 +815,10 @@ func newVisitedSet(kind string, bitstateBytes, budget int64, share bool, hooks v
 // observability plane: fidelity/omission gauges on every hub, the
 // eviction and downgrade counters on the first non-nil hub only (Merge
 // sums counters across hubs, so billing them everywhere would
-// double-count), and a fidelity-degraded event on the stream bus. hubs
-// is called per event, so a swarm's hooks see the workers built so far.
-func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hooks {
+// double-count), and a fidelity-degraded event on the stream bus, from
+// worker 0 since the table serves the whole session or swarm. hubs is
+// called per event, so a swarm's hooks see the workers built so far.
+func governorHooks(hubs func() []*obs.Hub, bus *Stream) visited.Hooks {
 	first := func(hs []*obs.Hub) *obs.Hub {
 		for _, h := range hs {
 			if h != nil {
@@ -862,7 +840,6 @@ func governorHooks(hubs func() []*obs.Hub, bus *Stream, worker int) visited.Hook
 			first(hs).Counter(obs.MetricFidelityDowngrades).Inc()
 			bus.Publish(stream.Event{
 				Kind:   stream.KindFidelityDegraded,
-				Worker: worker,
 				Detail: fmt.Sprintf("%s->%s p≈%.3g", from, to, omission),
 			})
 		},
@@ -910,7 +887,7 @@ func (s *Session) Checker() *checker.Checker { return s.check }
 
 // Obs returns the observability hub the session was built with (nil when
 // observability is off).
-func (s *Session) Obs() *obs.Hub { return s.obsHub }
+func (s *Session) Obs() *obs.Hub { return s.cfg.Obs }
 
 // Perf returns the phase profiler the session was built with (nil when
 // phase profiling is off).
@@ -988,28 +965,28 @@ type SwarmOptions struct {
 // factory returns the Options for each worker seed; every worker gets
 // fully independent file system instances and its own virtual clock.
 func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (SwarmResult, error) {
-	var mu sync.Mutex
-	var sessions []*Session
-	defer func() {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, s := range sessions {
-			s.Close()
-		}
-	}()
-	// The degradation hooks fan out over whichever worker hubs exist by
-	// the time the governor acts.
-	hubs := func() []*obs.Hub {
-		mu.Lock()
-		defer mu.Unlock()
-		hs := make([]*obs.Hub, len(sessions))
-		for i, s := range sessions {
-			hs[i] = s.obsHub
-		}
-		return hs
-	}
+	var sw sessionSwarm
+	defer sw.close()
+	return sw.run(swarm, factory)
+}
+
+// sessionSwarm runs a coordinated swarm of sessions: it builds each
+// worker's Session from the factory's Options, keeps the sessions in
+// worker order, and closes them. The governor hooks read the workers'
+// hubs from it.
+type sessionSwarm struct {
+	mu       sync.Mutex
+	sessions []*Session // guarded by mu; index w is worker w+1, nil until built
+}
+
+// run runs the swarm. The caller closes sw afterwards, after reading
+// whatever it needs from the sessions.
+func (sw *sessionSwarm) run(swarm SwarmOptions, factory func(seed int64) (Options, error)) (SwarmResult, error) {
+	sw.mu.Lock()
+	sw.sessions = make([]*Session, max(swarm.Workers, 0))
+	sw.mu.Unlock()
 	shared, err := newVisitedSet(swarm.Visited, swarm.BitstateBytes, swarm.MemBudget,
-		swarm.ShareVisited, governorHooks(hubs, swarm.Stream, 0))
+		swarm.ShareVisited, governorHooks(sw.hubs, swarm.Stream))
 	if err != nil {
 		return SwarmResult{BugWorker: -1, ErrWorker: -1}, err
 	}
@@ -1037,24 +1014,40 @@ func SwarmRun(swarm SwarmOptions, factory func(seed int64) (Options, error)) (Sw
 		if err != nil {
 			return mc.Config{}, err
 		}
-		mu.Lock()
-		sessions = append(sessions, s)
-		mu.Unlock()
+		sw.mu.Lock()
+		sw.sessions[seed-1] = s
+		sw.mu.Unlock()
 		return s.cfg, nil
 	})
 }
 
-// Swarm runs n diversified exploration sessions in parallel and returns
-// the per-worker results in worker order — the original swarm API, now
-// backed by the coordinated SwarmRun (first bug cancels the remaining
-// workers; factory errors drain started workers instead of leaking
-// them).
-func Swarm(n int, factory func(seed int64) (Options, error)) ([]Result, error) {
-	sr, err := SwarmRun(SwarmOptions{Workers: n}, factory)
-	if err != nil {
-		return nil, err
+// built returns the sessions in worker order; a worker canceled before
+// it started has none.
+func (sw *sessionSwarm) built() []*Session {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	var out []*Session
+	for _, s := range sw.sessions {
+		if s != nil {
+			out = append(out, s)
+		}
 	}
-	return sr.Workers, nil
+	return out
+}
+
+// hubs returns the hubs of the workers built so far, in worker order.
+func (sw *sessionSwarm) hubs() []*obs.Hub {
+	var hs []*obs.Hub
+	for _, s := range sw.built() {
+		hs = append(hs, s.cfg.Obs)
+	}
+	return hs
+}
+
+func (sw *sessionSwarm) close() {
+	for _, s := range sw.built() {
+		s.Close()
+	}
 }
 
 // Verify re-checks that all targets currently agree, returning the

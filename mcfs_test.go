@@ -252,9 +252,9 @@ func TestFigure3Shape(t *testing.T) {
 func TestFigure3CrashCalibration(t *testing.T) {
 	prof := perf.New(nil)
 	points, err := mcfs.RunFigure3(mcfs.Figure3Config{
-		Days:  1,
-		Crash: true,
-		Perf:  prof,
+		Days:      1,
+		Crash:     true,
+		Observers: mcfs.Observers{Perf: prof},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@
 #                                                    independent pairs)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
-#      reproduce it, mcfs shrink must minimize it    bundle -> replay ->
-#                                                    shrink)
+#      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
+#      the same round trip for a -majority run       shrink)
 #   7. go test -race ./internal/fault/...           (fault plane and the
 #         ./internal/fs/extfs/...                    parallel fsck under
 #                                                    the race detector)
@@ -80,6 +80,19 @@ rc=0
 	echo "FAIL: bundle shrink failed"; exit 1; }
 "$work/mcfs" replay "$bundle" >/dev/null || {
 	echo "FAIL: minimized bundle did not reproduce"; exit 1; }
+# A majority-vote bug must replay as a majority-vote bug: replay and
+# shrink judge the trail with the checks the run used.
+majbundle="$work/majbundle"
+rc=0
+"$work/mcfs" -fs verifs1 -fs verifs2 -fs verifs2 -bug write-hole-no-zero \
+	-majority -depth 3 -max-ops 5000 -bundle "$majbundle" >/dev/null || rc=$?
+[ "$rc" -eq 3 ] || { echo "FAIL: seeded -majority run exited $rc, want 3 (bug found)"; exit 1; }
+"$work/mcfs" replay "$majbundle" >/dev/null || {
+	echo "FAIL: majority-vote bundle did not reproduce"; exit 1; }
+"$work/mcfs" shrink "$majbundle" >/dev/null || {
+	echo "FAIL: majority-vote bundle shrink failed"; exit 1; }
+"$work/mcfs" replay "$majbundle" >/dev/null || {
+	echo "FAIL: minimized majority-vote bundle did not reproduce"; exit 1; }
 
 echo "==> go test -race ./internal/fault/... ./internal/fs/extfs/..."
 go test -race ./internal/fault/... ./internal/fs/extfs/...
