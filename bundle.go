@@ -218,7 +218,7 @@ func (b *Bundle) Replay() (*ReplayOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, same, err := b.verify(s, b.Trail)
+	d, same, err := s.VerifyCrashTrail(b.Trail, b.Bug.Crash, b.want())
 	s.Close()
 	if err != nil {
 		return nil, err
@@ -229,7 +229,7 @@ func (b *Bundle) Replay() (*ReplayOutcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		d, same, err := b.verify(s, b.MinTrail)
+		d, same, err := s.VerifyCrashTrail(b.MinTrail, b.Bug.Crash, b.want())
 		s.Close()
 		if err != nil {
 			return nil, err
@@ -237,15 +237,6 @@ func (b *Bundle) Replay() (*ReplayOutcome, error) {
 		out.MinDiscrepancy, out.MinReproduced = d, &same
 	}
 	return out, nil
-}
-
-// verify checks one trail against the bundle's recorded discrepancy —
-// crash-testing the final op when the bug is a crash bug.
-func (b *Bundle) verify(s *Session, trail []Op) (*Discrepancy, bool, error) {
-	if b.Bug.Crash != nil {
-		return s.VerifyCrashTrail(trail, b.Bug.Crash, b.want())
-	}
-	return s.VerifyTrail(trail, b.want())
 }
 
 // Shrink delta-debugs the bundle's trail to a locally-minimal repro,

@@ -1,10 +1,13 @@
 package mcfs_test
 
 import (
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"mcfs"
+	"mcfs/internal/obs/journal"
 )
 
 // Crash-consistency exploration, end to end: the seeded ext4 journal bug
@@ -13,7 +16,7 @@ import (
 // consistent — and must be caught only when crash points inside the
 // write window are explored.
 
-func crashSession(t *testing.T, bugs []string, crash bool) *mcfs.Session {
+func crashSession(t *testing.T, bugs []string, crash bool, seed int64) *mcfs.Session {
 	t.Helper()
 	s, err := mcfs.NewSession(mcfs.Options{
 		Targets: []mcfs.TargetSpec{
@@ -22,6 +25,7 @@ func crashSession(t *testing.T, bugs []string, crash bool) *mcfs.Session {
 		},
 		MaxDepth:         1,
 		MaxOps:           8000,
+		Seed:             seed,
 		CrashExploration: crash,
 	})
 	if err != nil {
@@ -31,8 +35,21 @@ func crashSession(t *testing.T, bugs []string, crash bool) *mcfs.Session {
 	return s
 }
 
+// Every seed's bug must verify on a fresh session: the replay runs the
+// engine's own per-op sequence and crash session, so the crash point's
+// pre-probe media and volatile state match the ones the engine probed
+// from. Seed 0 enumerates ops in order; the others shuffle them, which
+// puts the crashing op after different prefixes.
 func TestCrashExplorationFindsJournalCommitFirst(t *testing.T) {
-	s := crashSession(t, []string{mcfs.BugJournalCommitFirst}, true)
+	for _, seed := range []int64{0, 1, 2, 5, 9} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			testFindsJournalCommitFirst(t, seed)
+		})
+	}
+}
+
+func testFindsJournalCommitFirst(t *testing.T, seed int64) {
+	s := crashSession(t, []string{mcfs.BugJournalCommitFirst}, true, seed)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatalf("Run: %v", res.Err)
@@ -66,7 +83,7 @@ func TestCrashExplorationFindsJournalCommitFirst(t *testing.T) {
 	}
 
 	// The trail must reproduce in a fresh session.
-	s2 := crashSession(t, []string{mcfs.BugJournalCommitFirst}, true)
+	s2 := crashSession(t, []string{mcfs.BugJournalCommitFirst}, true, seed)
 	got, same, err := s2.VerifyCrashTrail(res.Bug.Trail, res.Bug.Crash, &mcfs.Discrepancy{Kind: res.Bug.Discrepancy.Kind})
 	if err != nil {
 		t.Fatalf("VerifyCrashTrail: %v", err)
@@ -77,7 +94,7 @@ func TestCrashExplorationFindsJournalCommitFirst(t *testing.T) {
 }
 
 func TestCrashExplorationCleanExt4Passes(t *testing.T) {
-	s := crashSession(t, nil, true)
+	s := crashSession(t, nil, true, 0)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatalf("Run: %v", res.Err)
@@ -94,7 +111,7 @@ func TestCrashExplorationCleanExt4Passes(t *testing.T) {
 }
 
 func TestSeededBugInvisibleWithoutCrashExploration(t *testing.T) {
-	s := crashSession(t, []string{mcfs.BugJournalCommitFirst}, false)
+	s := crashSession(t, []string{mcfs.BugJournalCommitFirst}, false, 0)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatalf("Run: %v", res.Err)
@@ -123,7 +140,18 @@ func TestJournalCommitFirstRejectedOffExt4(t *testing.T) {
 	}
 }
 
+// A crash bundle replays, shrinks and replays again. At seed 1 the run
+// also records a journal, whose replay must re-run each crash record's
+// probe from the op's checkpoint, as the engine did, and re-find the bug.
 func TestCrashBundleRoundTrip(t *testing.T) {
+	for _, seed := range []int64{0, 1} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			testCrashBundleRoundTrip(t, seed, seed != 0)
+		})
+	}
+}
+
+func testCrashBundleRoundTrip(t *testing.T, seed int64, withJournal bool) {
 	opts := mcfs.Options{
 		Targets: []mcfs.TargetSpec{
 			{Kind: "ext2"},
@@ -131,7 +159,18 @@ func TestCrashBundleRoundTrip(t *testing.T) {
 		},
 		MaxDepth:         1,
 		MaxOps:           8000,
+		Seed:             seed,
 		CrashExploration: true,
+	}
+	tmp := t.TempDir()
+	jpath := ""
+	if withJournal {
+		jpath = filepath.Join(tmp, "run.jsonl")
+		jw, err := journal.Create(jpath, journal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Journal = jw
 	}
 	s, err := mcfs.NewSession(opts)
 	if err != nil {
@@ -139,12 +178,18 @@ func TestCrashBundleRoundTrip(t *testing.T) {
 	}
 	res := s.Run()
 	s.Close()
+	if opts.Journal != nil {
+		if err := opts.Journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		opts.Journal = nil
+	}
 	if res.Bug == nil {
 		t.Fatal("seeded crash bug not found")
 	}
 
-	dir := t.TempDir()
-	if err := mcfs.WriteBundle(dir, opts, res, "", nil); err != nil {
+	dir := filepath.Join(tmp, "bundle")
+	if err := mcfs.WriteBundle(dir, opts, res, jpath, nil); err != nil {
 		t.Fatalf("WriteBundle: %v", err)
 	}
 	b, err := mcfs.ReadBundle(dir)
@@ -153,6 +198,25 @@ func TestCrashBundleRoundTrip(t *testing.T) {
 	}
 	if b.Bug.Crash == nil {
 		t.Fatal("bundle lost the crash spec")
+	}
+	if withJournal {
+		recs, err := b.JournalRecords()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := mcfs.NewSession(b.Config.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.ReplayJournal(recs)
+		s.Close()
+		if err != nil {
+			t.Fatalf("ReplayJournal: %v", err)
+		}
+		if rep.Diverged || !rep.BugReproduced {
+			t.Fatalf("journal replay: diverged=%v at %d (%s), bug reproduced=%v",
+				rep.Diverged, rep.DivergedAt, rep.Reason, rep.BugReproduced)
+		}
 	}
 
 	out, err := b.Replay()

@@ -25,6 +25,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mcfs/internal/abstraction"
@@ -173,14 +174,13 @@ func crashPoints(w, m int) []int {
 }
 
 // crashWindow executes op once on the plane's target inside a fault
-// window, with crash points armed at the given write indices (nil:
-// measurement run, nothing armed). It returns the window's write count.
-// The operation's errno is irrelevant here — failing operations have
-// write windows too. On EVERY exit path the injector is left with zero
-// armed points: captured images are kept for the caller to drain on
-// success and dropped on failure, but an arm must never outlive the
-// window it was set for (a leftover arm would silently capture in the
-// next window).
+// window, with crash points armed at the given write indices, and
+// returns the window's write count. The operation's errno is irrelevant
+// here — failing operations have write windows too. On EVERY exit path
+// the injector is left with zero armed points: captured images are kept
+// for the caller to drain on success and dropped on failure, but an arm
+// must never outlive the window it was set for (a leftover arm would
+// silently capture in the next window).
 func crashWindow(cfg *Config, p *CrashPlane, op workload.Op, points []int) (int, error) {
 	mt := cfg.Perf.Start(perf.PhaseRemount)
 	if err := p.PreOp(); err != nil {
@@ -189,9 +189,7 @@ func crashWindow(cfg *Config, p *CrashPlane, op workload.Op, points []int) (int,
 	}
 	mt.End()
 	p.Injector.StartWindow()
-	if len(points) > 0 {
-		p.Injector.ArmCrashes(points)
-	}
+	p.Injector.ArmCrashes(points)
 	et := cfg.Perf.Start(perf.PhaseExecute)
 	workload.Execute(cfg.Kernel, p.Mount, op)
 	et.End()
@@ -205,70 +203,6 @@ func crashWindow(cfg *Config, p *CrashPlane, op workload.Op, points []int) (int,
 	}
 	p.Injector.DisarmPending()
 	return p.Injector.WindowWrites(), nil
-}
-
-// crashOracle power-cycles the plane on the captured image and judges
-// the recovered state: recovery must succeed, fsck must be clean, and —
-// for strict planes — the recovered metadata state must equal the
-// pre-op (b0) or post-op (b1) state. Returns nil when recovery is
-// consistent. pf (nil-safe) attributes the oracle's time: recovery
-// mounts to remount, integrity checking to fsck, state hashing to hash.
-func crashOracle(pf *perf.Profiler, p *CrashPlane, op workload.Op, k, w int, img []byte, b0, b1 abstraction.State) *checker.Discrepancy {
-	where := fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, w, op)
-	mt := pf.Start(perf.PhaseRemount)
-	err := p.PowerCycle(img)
-	mt.End()
-	if err != nil {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				fmt.Sprintf("recovery failed: %v", err),
-			},
-		}
-	}
-	if p.Fsck != nil {
-		ft := pf.Start(perf.PhaseFsck)
-		probs := p.Fsck()
-		ft.End()
-		if len(probs) > 0 {
-			return &checker.Discrepancy{
-				Kind:    KindCrashConsistency,
-				Op:      op.String(),
-				Details: append([]string{where, "fsck after recovery:"}, probs...),
-			}
-		}
-	}
-	if p.Strict {
-		ht := pf.Start(perf.PhaseHash)
-		r, er := p.MetaHash()
-		ht.End()
-		if er != errno.OK {
-			return &checker.Discrepancy{
-				Kind: KindCrashConsistency,
-				Op:   op.String(),
-				Details: []string{
-					where,
-					fmt.Sprintf("hashing recovered state: %v", er),
-				},
-			}
-		}
-		if r != b0 && r != b1 {
-			return &checker.Discrepancy{
-				Kind: KindCrashConsistency,
-				Op:   op.String(),
-				Details: []string{
-					where,
-					"recovered state matches neither the pre-op nor the post-op state",
-					fmt.Sprintf("recovered %x", r[:8]),
-					fmt.Sprintf("pre-op    %x", b0[:8]),
-					fmt.Sprintf("post-op   %x", b1[:8]),
-				},
-			}
-		}
-	}
-	return nil
 }
 
 // crashProbe crash-tests op's write window on every plane, from the
@@ -296,109 +230,46 @@ func (e *engine) crashProbe(depth int, op workload.Op) error {
 	return nil
 }
 
-// probePlane crash-tests op's write window on one plane out of a SINGLE
-// armed execution.
-//
-// This is the crash oracle's recovery session: the full device image is
-// read exactly once (the snapshot), one execution of the window both
-// measures its write count and captures a media image at every armed
-// write as it happens, and the injector's touch log scopes every
-// subsequent power-cycle and the final rollback to the bytes that
-// actually diverged. The crash points are judged back to back — each
-// power-cycle delta-loads the next captured image directly over the
-// previous recovered state, with no rollback to pre in between (the
-// touch log plus the window's write set bound the divergence) — and the
-// probe rolls back to pre once, at the end. Compared to the original
-// per-point flow — re-execute the window once per point, reload the
-// full image twice per point — a probe of K points costs 1 execution
-// instead of 1+K, K warm recovery mounts, and one delta rollback.
-//
-// Post-recovery verdicts are memoized per probe by a masked digest of
-// the media regions that diverged from the pre-op image: crash points
-// that recover to state-equivalent media (common when consecutive
-// writes land in masked journal space) are judged once.
+// probePlane crash-tests op's write window on one plane: one crash
+// session with every write of the armed prefix captured, judged at the
+// sampled points with the engine's bookkeeping around each verdict —
+// stats, heatmap, events, the journal's crash record, and the op budget.
 func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
-	ct := e.cfg.Perf.Start(perf.PhaseCheckpoint)
-	pre, err := p.Snapshot()
-	ct.End()
-	if err != nil {
-		return err
-	}
-	// From here until the probe ends, the touch log tracks divergence
-	// from pre. RestoreDelta resets it whenever media is rolled back.
-	p.Injector.StartTouchLog()
-	defer p.Injector.StopTouchLog()
-	ht := e.cfg.Perf.Start(perf.PhaseHash)
-	b0, er := p.MetaHash()
-	ht.End()
-	if er != errno.OK {
-		return fmt.Errorf("hashing pre-op state: %w", er)
-	}
-	// The one armed execution: measures the window's write count AND
-	// captures a crash image at every write index in the armed prefix.
 	armAll := make([]int, maxArmedPoints)
 	for i := range armAll {
 		armAll[i] = i
 	}
-	w, err := crashWindow(&e.cfg, p, op, armAll)
+	s, err := startCrashSession(&e.cfg, p, op, armAll, e.countExec)
 	if err != nil {
 		return err
 	}
-	e.countCrashExec()
-	ht = e.cfg.Perf.Start(perf.PhaseHash)
-	b1, er := p.MetaHash()
-	ht.End()
-	if er != errno.OK {
-		return fmt.Errorf("hashing post-op state: %w", er)
-	}
+	defer s.stop()
 	e.crashStats.Probes++
-	imgs := p.Injector.TakeCrashImages()
-	// The window's write set, read BEFORE anything resets the log: every
-	// captured image diverges from pre only inside it, so it is the
-	// `extra` for delta operations against images other than pre.
-	capRegions, capOK := p.Injector.Touched()
-	if !capOK {
-		capRegions = nil
-	}
 
-	points := crashPoints(w, e.cfg.Crash.PointsPerOp)
+	points := crashPoints(s.w, e.cfg.Crash.PointsPerOp)
 	rec := journal.CrashRecord{
 		Target:     p.Target,
 		TargetName: p.Name,
 		Points:     points,
-		Writes:     w,
+		Writes:     s.w,
 		OK:         true,
 	}
 	if e.jr.Enabled() {
 		opRec := journal.EncodeOp(op)
 		rec.Op = &opRec
 	}
-
-	memo := make(map[[32]byte]crashVerdict)
+	var bug *checker.Discrepancy
+	var bugWrite int
 	for _, k := range points {
 		if !e.budgetLeft() {
 			break
 		}
-		img := imgs[k]
+		img, err := s.image(k)
+		if err != nil {
+			return err
+		}
 		if img == nil {
-			if k < maxArmedPoints {
-				// The armed write never happened (a fault rule erred the
-				// op short of write k): nothing to test.
-				continue
-			}
-			// Beyond the armed prefix (window longer than maxArmedPoints):
-			// capture this point with a dedicated execution from pre.
-			if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
-				return fmt.Errorf("rolling back for capture of write %d: %w", k, err)
-			}
-			if _, err := crashWindow(&e.cfg, p, op, []int{k}); err != nil {
-				return err
-			}
-			e.countCrashExec()
-			img = p.Injector.TakeCrashImage()
-			if img == nil {
-				continue
-			}
+			continue
 		}
 		e.crashStats.PointsExplored++
 		if e.eobs != nil {
@@ -410,8 +281,8 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 		if e.cfg.Stream != nil {
 			phasesBefore = e.cfg.Perf.PhaseTotals()
 		}
-		d, verdict := e.judgeCrashPoint(p, op, k, w, img, capRegions, capOK, b0, b1, memo)
-		e.heatmap.Record(op.String(), k, w, verdict)
+		d, verdict := s.judge(k, img)
+		e.heatmap.Record(op.String(), k, s.w, verdict)
 		if e.cfg.Stream != nil {
 			e.emit(stream.Event{
 				Kind:    stream.KindCrashVerdict,
@@ -419,47 +290,187 @@ func (e *engine) probePlane(depth int, op workload.Op, p *CrashPlane) error {
 				Target:  p.Name,
 				Depth:   depth,
 				Write:   k,
-				Writes:  w,
+				Writes:  s.w,
 				Verdict: verdict,
 				Phase:   perf.DominantDelta(phasesBefore, e.cfg.Perf.PhaseTotals()),
 			})
 		}
 		if d != nil {
-			if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
-				return fmt.Errorf("rolling back crash probe: %w", err)
-			}
-			rec.OK = false
-			e.jr.Crash(depth, rec)
-			e.report(d, op)
-			e.bug.Crash = &journal.CrashSpec{
-				Target:     p.Target,
-				TargetName: p.Name,
-				Write:      k,
-			}
-			return nil
+			bug, bugWrite = d, k
+			break
 		}
 		e.crashStats.Recovered++
 		if e.eobs != nil {
 			e.eobs.crashRecoveries.Inc()
 		}
 	}
-	// One rollback for the whole probe: media currently holds the last
-	// recovered crash state (or the post-op state when no point fired).
-	if err := e.restorePlaneDelta(p, pre, capRegions); err != nil {
+	if err := s.rollback(); err != nil {
+		return err
+	}
+	rec.OK = bug == nil
+	e.jr.Crash(depth, rec)
+	if bug != nil {
+		e.report(bug, op)
+		e.bug.Crash = &journal.CrashSpec{
+			Target:     p.Target,
+			TargetName: p.Name,
+			Write:      bugWrite,
+		}
+	}
+	return nil
+}
+
+// crashSession is one plane's crash test of one operation, shared by the
+// engine and every crash replay.
+//
+// This is the crash oracle's recovery session: the full device image is
+// read exactly once (the snapshot), one execution of the window both
+// measures its write count and captures a media image at every armed
+// write as it happens, and the injector's touch log scopes every
+// subsequent power-cycle and the final rollback to the bytes that
+// actually diverged. The crash points are judged back to back — each
+// power-cycle delta-loads the next captured image directly over the
+// previous recovered state, with no rollback to pre in between (the
+// touch log plus the window's write set bound the divergence) — and the
+// session rolls back to pre once, at the end: a session of K points
+// costs one execution, K warm recovery mounts and one delta rollback.
+//
+// The session starts from the target's current state, whatever
+// volatile (in-memory) state it carries: that is the state the engine
+// probed from, and a replay reproduces it only by reaching it the same
+// way, never by restoring an image.
+//
+// Post-recovery verdicts are memoized per session by a masked digest of
+// the media regions that diverged from the pre-op image: crash points
+// that recover to state-equivalent media (common when consecutive
+// writes land in masked journal space) are judged once.
+type crashSession struct {
+	cfg *Config
+	p   *CrashPlane
+	op  workload.Op
+	// arm lists the write indices the execution captured; onExec (may
+	// be nil) runs after every execution of the window.
+	arm    []int
+	onExec func()
+	// pre is the pre-op media image; b0 and b1 the pre-op and post-op
+	// metadata states; w the window's write count.
+	pre    []byte
+	b0, b1 abstraction.State
+	w      int
+	imgs   map[int][]byte
+	// capRegions is the window's write set, read BEFORE anything resets
+	// the log: every captured image diverges from pre only inside it, so
+	// it is the `extra` for delta operations against images other than
+	// pre. capOK is false when the log could not provide it.
+	capRegions []fault.Region
+	capOK      bool
+	memo       map[[32]byte]crashVerdict
+}
+
+// startCrashSession snapshots the plane, starts the touch log, hashes
+// the pre-op state, runs the one execution armed at arm and hashes the
+// post-op state. The caller judges points with image and judge, then
+// calls rollback, and stops the session with stop on every path.
+func startCrashSession(cfg *Config, p *CrashPlane, op workload.Op, arm []int, onExec func()) (*crashSession, error) {
+	s := &crashSession{cfg: cfg, p: p, op: op, arm: arm, onExec: onExec,
+		memo: make(map[[32]byte]crashVerdict)}
+	ct := cfg.Perf.Start(perf.PhaseCheckpoint)
+	pre, err := p.Snapshot()
+	ct.End()
+	if err != nil {
+		return nil, err
+	}
+	s.pre = pre
+	// From here until the session stops, the touch log tracks divergence
+	// from pre. RestoreDelta resets it whenever media is rolled back.
+	p.Injector.StartTouchLog()
+	var er errno.Errno
+	ht := cfg.Perf.Start(perf.PhaseHash)
+	s.b0, er = p.MetaHash()
+	ht.End()
+	if er != errno.OK {
+		s.stop()
+		return nil, fmt.Errorf("hashing pre-op state: %w", er)
+	}
+	if s.w, err = s.execute(arm); err != nil {
+		s.stop()
+		return nil, err
+	}
+	ht = cfg.Perf.Start(perf.PhaseHash)
+	s.b1, er = p.MetaHash()
+	ht.End()
+	if er != errno.OK {
+		s.stop()
+		return nil, fmt.Errorf("hashing post-op state: %w", er)
+	}
+	s.imgs = p.Injector.TakeCrashImages()
+	if s.capRegions, s.capOK = p.Injector.Touched(); !s.capOK {
+		s.capRegions = nil
+	}
+	return s, nil
+}
+
+// execute runs the window once with crash points armed at points.
+func (s *crashSession) execute(points []int) (int, error) {
+	w, err := crashWindow(s.cfg, s.p, s.op, points)
+	if err == nil && s.onExec != nil {
+		s.onExec()
+	}
+	return w, err
+}
+
+// stop ends the session's touch log.
+func (s *crashSession) stop() { s.p.Injector.StopTouchLog() }
+
+// image returns the media image captured at write k: from the armed
+// execution, or — for a point it did not arm (beyond the engine's armed
+// prefix) — from a dedicated capture execution from pre. Nil means the
+// armed write never happened (a fault rule erred the op short of it):
+// nothing to test.
+func (s *crashSession) image(k int) ([]byte, error) {
+	if img := s.imgs[k]; img != nil || slices.Contains(s.arm, k) {
+		return img, nil
+	}
+	if err := s.restore(); err != nil {
+		return nil, fmt.Errorf("rolling back for capture of write %d: %w", k, err)
+	}
+	if _, err := s.execute([]int{k}); err != nil {
+		return nil, err
+	}
+	return s.p.Injector.TakeCrashImage(), nil
+}
+
+// rollback returns the plane to pre once, after the last point: media
+// holds the last recovered crash state (or the post-op state when no
+// point was judged).
+func (s *crashSession) rollback() error {
+	if err := s.restore(); err != nil {
 		return fmt.Errorf("rolling back crash probe: %w", err)
 	}
-	if n := p.Injector.Armed(); n != 0 {
+	if n := s.p.Injector.Armed(); n != 0 {
 		return fmt.Errorf("crash probe leaked %d armed crash point(s)", n)
 	}
-	e.jr.Crash(depth, rec)
 	return nil
+}
+
+// restore rolls the plane's device image back to pre, attributing the
+// rollback to the restore phase. Planes with a delta session reload only
+// the diverged regions (the touch log plus the window's write set);
+// others reload the full image.
+func (s *crashSession) restore() error {
+	rt := s.cfg.Perf.Start(perf.PhaseRestore)
+	defer rt.End()
+	if s.p.RestoreDelta != nil {
+		return s.p.RestoreDelta(s.pre, s.capRegions)
+	}
+	return s.p.Restore(s.pre)
 }
 
 // crashVerdict memoizes the state-dependent half of one crash point's
 // judgment: the fsck report and (for strict planes) the recovered
 // abstract state. Keyed by the masked digest of the recovered media's
 // divergence from the pre-op image, it is valid for any crash point of
-// the same probe that recovers to state-equivalent media.
+// the same session that recovers to state-equivalent media.
 type crashVerdict struct {
 	fsckProbs []string
 	state     abstraction.State
@@ -469,41 +480,28 @@ type crashVerdict struct {
 
 // discrepancy renders the memoized verdict against one concrete crash
 // point (nil when the recovery is consistent).
-func (v crashVerdict) discrepancy(where string, op workload.Op, p *CrashPlane, b0, b1 abstraction.State) *checker.Discrepancy {
-	if len(v.fsckProbs) > 0 {
-		return &checker.Discrepancy{
-			Kind:    KindCrashConsistency,
-			Op:      op.String(),
-			Details: append([]string{where, "fsck after recovery:"}, v.fsckProbs...),
-		}
-	}
-	if !v.hasState {
+func (v crashVerdict) discrepancy(where string, op workload.Op, b0, b1 abstraction.State) *checker.Discrepancy {
+	switch {
+	case len(v.fsckProbs) > 0:
+		return crashDiscrepancy(op, append([]string{where, "fsck after recovery:"}, v.fsckProbs...)...)
+	case !v.hasState:
 		return nil
-	}
-	if v.stateErr != errno.OK {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				fmt.Sprintf("hashing recovered state: %v", v.stateErr),
-			},
-		}
-	}
-	if v.state != b0 && v.state != b1 {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				"recovered state matches neither the pre-op nor the post-op state",
-				fmt.Sprintf("recovered %x", v.state[:8]),
-				fmt.Sprintf("pre-op    %x", b0[:8]),
-				fmt.Sprintf("post-op   %x", b1[:8]),
-			},
-		}
+	case v.stateErr != errno.OK:
+		return crashDiscrepancy(op, where, fmt.Sprintf("hashing recovered state: %v", v.stateErr))
+	case v.state != b0 && v.state != b1:
+		return crashDiscrepancy(op, where,
+			"recovered state matches neither the pre-op nor the post-op state",
+			fmt.Sprintf("recovered %x", v.state[:8]),
+			fmt.Sprintf("pre-op    %x", b0[:8]),
+			fmt.Sprintf("post-op   %x", b1[:8]))
 	}
 	return nil
+}
+
+// crashDiscrepancy is the crash oracle's finding on op: where it
+// crashed, then what recovery got wrong.
+func crashDiscrepancy(op workload.Op, details ...string) *checker.Discrepancy {
+	return &checker.Discrepancy{Kind: KindCrashConsistency, Op: op.String(), Details: details}
 }
 
 // label names the verdict for the heatmap and the event stream: bug on
@@ -523,40 +521,32 @@ func (v crashVerdict) label(d *checker.Discrepancy, b0 abstraction.State) string
 	}
 }
 
-// judgeCrashPoint power-cycles the plane on one captured crash image
-// (delta-loading only the capture run's write set when the session
-// supports it) and judges the recovered state, returning the verdict
+// judge power-cycles the plane on the crash image captured at write k
+// (delta-loading only the window's write set when the session supports
+// it) and judges the recovered state: recovery must succeed, fsck must
+// be clean, and — for strict planes — the recovered metadata state must
+// equal the pre-op (b0) or post-op (b1) state. It returns the verdict
 // label (Verdict* constants) alongside any discrepancy. Before running
 // the expensive checks it digests the recovered media's divergence from
-// the pre-op image — capRegions plus whatever recovery itself wrote —
-// and reuses the memoized verdict of any earlier point in this probe
+// the pre-op image — the window's write set plus whatever recovery
+// itself wrote — and reuses the memoized verdict of any earlier point
 // that recovered to masked-identical media. Callable from ANY media
-// state whose divergence from img is bounded by capRegions plus the
-// touch log (the post-op state, or a previous point's recovered state);
-// returns with media == img-after-recovery. The caller rolls back once
-// after the last point.
-func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []byte,
-	capRegions []fault.Region, capOK bool, b0, b1 abstraction.State,
-	memo map[[32]byte]crashVerdict) (*checker.Discrepancy, string) {
-
-	where := fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, w, op)
-	mt := e.cfg.Perf.Start(perf.PhaseRemount)
+// state whose divergence from img is bounded by the window's write set
+// plus the touch log (the post-op state, or a previous point's
+// recovered state); returns with media == img-after-recovery.
+func (s *crashSession) judge(k int, img []byte) (*checker.Discrepancy, string) {
+	p, pf := s.p, s.cfg.Perf
+	where := fmt.Sprintf("%s: crash after write %d/%d of %s", p.Name, k+1, s.w, s.op)
+	mt := pf.Start(perf.PhaseRemount)
 	var err error
-	if capOK && p.PowerCycleDelta != nil {
-		err = p.PowerCycleDelta(img, capRegions)
+	if s.capOK && p.PowerCycleDelta != nil {
+		err = p.PowerCycleDelta(img, s.capRegions)
 	} else {
 		err = p.PowerCycle(img)
 	}
 	mt.End()
 	if err != nil {
-		return &checker.Discrepancy{
-			Kind: KindCrashConsistency,
-			Op:   op.String(),
-			Details: []string{
-				where,
-				fmt.Sprintf("recovery failed: %v", err),
-			},
-		}, stream.VerdictBug
+		return crashDiscrepancy(s.op, where, fmt.Sprintf("recovery failed: %v", err)), stream.VerdictBug
 	}
 	// Fast path: masked digest of everything that diverged from pre —
 	// the crash image's writes plus recovery's own (journal replay).
@@ -565,118 +555,73 @@ func (e *engine) judgeCrashPoint(p *CrashPlane, op workload.Op, k, w int, img []
 	var dig [32]byte
 	haveDig := false
 	if p.MediaDigest != nil && (p.Strict || p.Fsck != nil) {
-		ot := e.cfg.Perf.Start(perf.PhaseOracle)
+		ot := pf.Start(perf.PhaseOracle)
 		if recovered, ok := p.Injector.Touched(); ok {
-			regions := fault.CoalesceRegions(append(append([]fault.Region(nil), capRegions...), recovered...))
+			regions := fault.CoalesceRegions(append(append([]fault.Region(nil), s.capRegions...), recovered...))
 			dig, haveDig = p.MediaDigest(regions)
 		}
 		ot.End()
 		if haveDig {
-			if v, hit := memo[dig]; hit {
-				d := v.discrepancy(where, op, p, b0, b1)
-				return d, v.label(d, b0)
+			if v, hit := s.memo[dig]; hit {
+				d := v.discrepancy(where, s.op, s.b0, s.b1)
+				return d, v.label(d, s.b0)
 			}
 		}
 	}
 	var v crashVerdict
 	if p.Fsck != nil {
-		ft := e.cfg.Perf.Start(perf.PhaseFsck)
+		ft := pf.Start(perf.PhaseFsck)
 		v.fsckProbs = p.Fsck()
 		ft.End()
 	}
 	if p.Strict {
-		ht := e.cfg.Perf.Start(perf.PhaseHash)
+		ht := pf.Start(perf.PhaseHash)
 		v.state, v.stateErr = p.MetaHash()
 		ht.End()
 		v.hasState = true
 	}
 	if haveDig {
-		memo[dig] = v
+		s.memo[dig] = v
 	}
-	d := v.discrepancy(where, op, p, b0, b1)
-	return d, v.label(d, b0)
+	d := v.discrepancy(where, s.op, s.b0, s.b1)
+	return d, v.label(d, s.b0)
 }
 
-// countCrashExec charges one probed execution against the op budget —
-// crash probes dominate a crash-exploration run's cost and must respect
-// MaxOps like every other execution.
-func (e *engine) countCrashExec() {
-	e.executed++
-	if e.eobs != nil {
-		e.eobs.ops.Inc()
-	}
-	e.cfg.Perf.Observe(e.executed, e.unique, e.revisits,
-		e.crashStats.PointsExplored, len(e.trail))
-	e.maybeBeat()
-}
-
-// restorePlaneDelta rolls the plane's device image back to img,
-// attributing the rollback to the restore phase. Planes with a delta
-// session reload only the diverged regions (the injector's touch log
-// plus extra — regions the caller knows diverged outside the log's
-// view); others reload the full image.
-func (e *engine) restorePlaneDelta(p *CrashPlane, img []byte, extra []fault.Region) error {
-	rt := e.cfg.Perf.Start(perf.PhaseRestore)
-	var err error
-	if p.RestoreDelta != nil {
-		err = p.RestoreDelta(img, extra)
-	} else {
-		err = p.Restore(img)
-	}
-	rt.End()
-	return err
-}
-
-// replayCrashSpec re-runs the crash test for one (op, plane, write)
-// triple at the targets' CURRENT state: measure the window, roll back,
-// crash at spec.Write, power-cycle, judge. Returns the discrepancy (nil
-// when recovery is consistent) — the crash-bug analogue of the final
-// check in Replay.
-func replayCrashSpec(cfg Config, op workload.Op, spec *journal.CrashSpec) (*checker.Discrepancy, error) {
-	p := crashPlaneFor(cfg, spec.Target)
-	if p == nil {
-		return nil, fmt.Errorf("mc: crash replay: no crash plane for target %d (session built without crash exploration?)", spec.Target)
-	}
-	pre, err := p.Snapshot()
+// replayProbe crash-tests op's write window on p at the given write
+// indices, from the targets' current state, and returns the first
+// discrepancy (nil when every point inside the window recovers
+// cleanly). It is the replays' side of the engine's probe: one crash
+// session armed at exactly the points it judges, always leaving the
+// target back in its pre-probe state.
+func replayProbe(cfg *Config, p *CrashPlane, op workload.Op, points []int) (*checker.Discrepancy, error) {
+	s, err := startCrashSession(cfg, p, op, points, nil)
 	if err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
+		return nil, err
 	}
-	b0, er := p.MetaHash()
-	if er != errno.OK {
-		return nil, fmt.Errorf("mc: crash replay: hashing pre-op state: %w", er)
-	}
-	w, err := crashWindow(&cfg, p, op, nil)
-	if err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
-	}
-	b1, er := p.MetaHash()
-	if er != errno.OK {
-		return nil, fmt.Errorf("mc: crash replay: hashing post-op state: %w", er)
-	}
-	if err := p.Restore(pre); err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
-	}
-	if spec.Write >= w {
-		return nil, nil // window shrank below the recorded crash point
-	}
-	if _, err := crashWindow(&cfg, p, op, []int{spec.Write}); err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
-	}
-	img := p.Injector.TakeCrashImage()
-	if img == nil {
-		if err := p.Restore(pre); err != nil {
-			return nil, fmt.Errorf("mc: crash replay: %w", err)
+	defer s.stop()
+	var found *checker.Discrepancy
+	for _, k := range points {
+		// Every point is armed: a nil image is a write the window no
+		// longer reaches.
+		img, err := s.image(k)
+		if err != nil {
+			return nil, err
 		}
-		return nil, nil
+		if img == nil {
+			continue
+		}
+		if d, _ := s.judge(k, img); d != nil {
+			found = d
+			break
+		}
 	}
-	d := crashOracle(cfg.Perf, p, op, spec.Write, w, img, b0, b1)
-	if err := p.Restore(pre); err != nil {
-		return nil, fmt.Errorf("mc: crash replay: %w", err)
+	if err := s.rollback(); err != nil {
+		return nil, err
 	}
-	return d, nil
+	return found, nil
 }
 
-func crashPlaneFor(cfg Config, target int) *CrashPlane {
+func crashPlaneFor(cfg *Config, target int) *CrashPlane {
 	if cfg.Crash == nil {
 		return nil
 	}
@@ -686,36 +631,4 @@ func crashPlaneFor(cfg Config, target int) *CrashPlane {
 		}
 	}
 	return nil
-}
-
-// ReplayCrash replays a crash-bug trail: the prefix executes normally on
-// every target (exactly as Replay does), then the FINAL operation is
-// crash-tested on the spec'd target at the spec'd write index. Returns
-// the first discrepancy observed — a prefix discrepancy counts (the
-// trail diverged before the crash point), otherwise the crash oracle's
-// verdict.
-func ReplayCrash(cfg Config, trail []workload.Op, spec *journal.CrashSpec) (*checker.Discrepancy, error) {
-	if len(trail) == 0 {
-		return nil, fmt.Errorf("mc: crash replay: empty trail")
-	}
-	if spec == nil {
-		return nil, fmt.Errorf("mc: crash replay: nil crash spec")
-	}
-	prefix, final := trail[:len(trail)-1], trail[len(trail)-1]
-	if d, err := Replay(cfg, prefix); err != nil || d != nil {
-		return d, err
-	}
-	return replayCrashSpec(cfg, final, spec)
-}
-
-// VerifyCrashTrail replays a crash-bug trail (ReplayCrash) and reports
-// whether it reproduces the wanted discrepancy: any discrepancy when
-// want is nil, otherwise one of the same kind.
-func VerifyCrashTrail(cfg Config, trail []workload.Op, spec *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
-	got, err := ReplayCrash(cfg, trail, spec)
-	if err != nil {
-		return nil, false, err
-	}
-	same := got != nil && (want == nil || got.Kind == want.Kind)
-	return got, same, nil
 }

@@ -87,14 +87,3 @@ func TestCrashWindowDisarmsOnPostOpError(t *testing.T) {
 		t.Error("post-op error path kept a captured image")
 	}
 }
-
-func TestCrashWindowMeasurementArmsNothing(t *testing.T) {
-	cfg, p := windowFixture(nil)
-	op := workload.Op{Kind: workload.OpMkdir, Path: "/d0"}
-	if _, err := crashWindow(cfg, p, op, nil); err != nil {
-		t.Fatalf("crashWindow: %v", err)
-	}
-	if n := p.Injector.Armed(); n != 0 {
-		t.Errorf("measurement run armed %d crash point(s)", n)
-	}
-}

@@ -13,8 +13,9 @@
 // ioctl checkpoint/restore for VeriFS, §5).
 //
 // On any discrepancy the engine stops and reports the precise operation
-// trail, matching the paper's reproducible bug reports; Replay re-runs a
-// trail from a fresh state to confirm it. SwarmRun (swarm.go) runs
+// trail, matching the paper's reproducible bug reports; Replay (replay.go)
+// re-runs a trail from a fresh state, through the engine's own per-op
+// sequence, to confirm it. SwarmRun (swarm.go) runs
 // several diversified engines as a coordinated parallel swarm: a shared
 // cancellation token stops every worker at the first bug, and workers
 // may visit through one visited.Set, pruning states peers already
@@ -145,7 +146,7 @@ type BugReport struct {
 	TrailSpans []obs.Span
 	// Crash, when set, marks a crash-consistency bug: the trail's final
 	// operation must be crash-tested at the spec'd target and write
-	// index (ReplayCrash) instead of executed normally.
+	// index (VerifyCrashTrail) instead of executed normally.
 	Crash *journal.CrashSpec
 }
 
@@ -349,6 +350,7 @@ type engine struct {
 	// bounded DFS the same way).
 	visited    *visited.Set
 	ownVisited bool
+	trackers   trackerSet
 	trail      []workload.Op
 	nextKey    uint64
 
@@ -442,6 +444,20 @@ func (e *engine) maybeBeat() {
 	})
 }
 
+// countExec charges one execution against the op budget and its
+// telemetry — a step's, or a crash probe's: probes dominate a
+// crash-exploration run's cost and must respect MaxOps like every other
+// execution.
+func (e *engine) countExec() {
+	e.executed++
+	if e.eobs != nil {
+		e.eobs.ops.Inc()
+	}
+	e.cfg.Perf.Observe(e.executed, e.unique, e.revisits,
+		e.crashStats.PointsExplored, len(e.trail))
+	e.maybeBeat()
+}
+
 // beginOp opens the per-operation collection window and LayerMC span.
 func (e *engine) beginOp(op workload.Op, depth int) obs.SpanHandle {
 	if e.eobs == nil {
@@ -485,6 +501,7 @@ func Run(cfg Config) Result {
 		visited:  cfg.Visited,
 		coverage: newCoverage(),
 		jr:       cfg.Journal.Recorder(cfg.Worker),
+		trackers: trackersOf(&cfg),
 		rng:      uint64(cfg.Seed)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 	}
 	if e.visited == nil {
@@ -593,14 +610,9 @@ func Run(cfg Config) Result {
 // visit cost — only when it is genuinely new.
 func (e *engine) begin() error {
 	cfg := e.cfg
-	if cfg.EqualizeFreeSpace {
-		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
-			return fmt.Errorf("mc: equalizing free space: %w", er)
-		}
-	}
-	h, er := cfg.Checker.StateHash()
-	if er != errno.OK {
-		return fmt.Errorf("mc: hashing initial state: %w", er)
+	h, err := prepare(&cfg)
+	if err != nil {
+		return err
 	}
 	e.curHash = h
 	if novel, _ := e.visited.Visit(h, 0); novel {
@@ -628,6 +640,22 @@ func (e *engine) begin() error {
 		})
 	}
 	return nil
+}
+
+// prepare readies the targets at the search root, for the engine and
+// every replay alike: the §3.4 free-space workaround, then the initial
+// state's hash.
+func prepare(cfg *Config) (abstraction.State, error) {
+	if cfg.EqualizeFreeSpace {
+		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
+			return abstraction.State{}, fmt.Errorf("mc: equalizing free space: %w", er)
+		}
+	}
+	h, er := cfg.Checker.StateHash()
+	if er != errno.OK {
+		return abstraction.State{}, fmt.Errorf("mc: hashing initial state: %w", er)
+	}
+	return h, nil
 }
 
 // PanicError is a target (or tracker/checker) panic converted into an
@@ -819,14 +847,91 @@ func (e *engine) visitCost() {
 	e.retained += n
 }
 
-// discardCheckpoints releases the checkpoint images held under key by
-// the given trackers. Error paths must call it: an abandoned key's
-// images are never restored (restore consumes them), so without an
-// explicit discard they stay in the snapshot pools forever.
-func (e *engine) discardCheckpoints(key uint64, trackers []tracker.Tracker) {
-	for _, t := range trackers {
+// trackerSet drives every target's tracker as one, for the engine and
+// every replay alike: checkpoint, restore or discard a key across all of
+// them, and run the per-op hooks, each attributed to its phase in pf
+// (nil-safe). Checkpoint and Restore keep the partial-failure rule: a key
+// that fails on one tracker is discarded from the ones still holding it,
+// so an error never strands images in a snapshot pool. The methods carry
+// the Tracker names, so mcfslint's checkpointleak analyzer follows a key
+// through the set as it would through one tracker.
+type trackerSet struct {
+	list []tracker.Tracker
+	pf   *perf.Profiler
+}
+
+func trackersOf(cfg *Config) trackerSet {
+	return trackerSet{list: cfg.Trackers, pf: cfg.Perf}
+}
+
+// Checkpoint saves every target's state under key. On a partial failure
+// the trackers that did checkpoint hold images no restore will ever
+// consume; they are released before the error returns.
+func (ts trackerSet) Checkpoint(key uint64) error {
+	defer ts.pf.Start(perf.PhaseCheckpoint).End()
+	for i, t := range ts.list {
+		if err := t.Checkpoint(key); err != nil {
+			trackerSet{list: ts.list[:i]}.Discard(key)
+			return fmt.Errorf("mc: checkpoint %s: %w", t.Name(), err)
+		}
+	}
+	return nil
+}
+
+// Restore brings every target back to the state saved under key,
+// consuming the images. On failure it discards what the remaining
+// trackers (and the failed one, best-effort) still hold.
+func (ts trackerSet) Restore(key uint64) error {
+	defer ts.pf.Start(perf.PhaseRestore).End()
+	for i, t := range ts.list {
+		if err := t.Restore(key); err != nil {
+			trackerSet{list: ts.list[i:]}.Discard(key)
+			return fmt.Errorf("mc: restore %s: %w", t.Name(), err)
+		}
+	}
+	return nil
+}
+
+// Discard releases the images held under key. Error paths must call it:
+// an abandoned key's images are never restored (restore consumes them),
+// so without an explicit discard they stay in the snapshot pools forever.
+func (ts trackerSet) Discard(key uint64) {
+	for _, t := range ts.list {
 		t.Discard(key)
 	}
+}
+
+// hook runs one per-op hook on every tracker, attributed to the remount
+// phase (remounts are what the hooks do for kernel file systems).
+func (ts trackerSet) hook(name string, run func(tracker.Tracker) error) error {
+	defer ts.pf.Start(perf.PhaseRemount).End()
+	for _, t := range ts.list {
+		if err := run(t); err != nil {
+			return fmt.Errorf("mc: %s %s: %w", name, t.Name(), err)
+		}
+	}
+	return nil
+}
+
+// execute runs op on every target between the trackers' pre-op and
+// post-op hooks and returns each target's result: the per-op sequence
+// the engine and every replay share, checked afterwards by check.
+func execute(cfg *Config, op workload.Op) ([]checker.OpResult, error) {
+	ts := trackersOf(cfg)
+	if err := ts.hook("pre-op", tracker.Tracker.PreOp); err != nil {
+		return nil, err
+	}
+	et := cfg.Perf.Start(perf.PhaseExecute)
+	targets := cfg.Checker.Targets()
+	results := make([]checker.OpResult, len(targets))
+	for i, tgt := range targets {
+		results[i] = workload.Execute(cfg.Kernel, tgt.MountPoint, op)
+	}
+	et.End()
+	if err := ts.hook("post-op", tracker.Tracker.PostOp); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // dfs explores all operation choices from the current concrete state.
@@ -846,21 +951,9 @@ func (e *engine) dfs(depth int) error {
 		sp := e.beginOp(op, depth)
 
 		// Save the current state of every target so we can backtrack.
-		// On a partial failure the trackers that did checkpoint hold
-		// images under key that no restore will ever consume — release
-		// them before bailing out.
 		key := e.nextKey
 		e.nextKey++
-		var err error
-		ct := e.cfg.Perf.Start(perf.PhaseCheckpoint)
-		for i, t := range e.cfg.Trackers {
-			if err = t.Checkpoint(key); err != nil {
-				e.discardCheckpoints(key, e.cfg.Trackers[:i])
-				err = fmt.Errorf("mc: checkpoint %s: %w", t.Name(), err)
-				break
-			}
-		}
-		ct.End()
+		err := e.trackers.Checkpoint(key)
 		if err == nil {
 			e.storeStateCost()
 			// Crash exploration probes the op's write window (and leaves
@@ -868,14 +961,13 @@ func (e *engine) dfs(depth int) error {
 			// normally; a probe that finds an inconsistent recovery
 			// reports the bug and skips the normal step.
 			if e.cfg.Crash != nil {
-				if err = e.crashProbe(depth, op); err != nil {
-					e.discardCheckpoints(key, e.cfg.Trackers)
-				}
+				err = e.crashProbe(depth, op)
 			}
 			if err == nil && e.bug == nil {
-				if err = e.step(op); err != nil {
-					e.discardCheckpoints(key, e.cfg.Trackers)
-				}
+				err = e.step(op)
+			}
+			if err != nil {
+				e.trackers.Discard(key)
 			}
 		}
 		e.endOp(sp)
@@ -911,7 +1003,7 @@ func (e *engine) dfs(depth int) error {
 			h, er := e.cfg.Checker.StateHash()
 			ht.End()
 			if er != errno.OK {
-				e.discardCheckpoints(key, e.cfg.Trackers)
+				e.trackers.Discard(key)
 				return fmt.Errorf("mc: hashing state: %w", er)
 			}
 			childDepth := depth + 1
@@ -954,7 +1046,7 @@ func (e *engine) dfs(depth int) error {
 				parentHash := e.curHash
 				e.curHash = h
 				if err := e.dfs(childDepth); err != nil {
-					e.discardCheckpoints(key, e.cfg.Trackers)
+					e.trackers.Discard(key)
 					return err
 				}
 				e.curHash = parentHash
@@ -965,19 +1057,11 @@ func (e *engine) dfs(depth int) error {
 			}
 		}
 
-		// Backtrack: restore every target to the saved state. Restore
-		// consumes the image; on failure, discard what the remaining
-		// trackers (and the failed one, best-effort) still hold.
+		// Backtrack: restore every target to the saved state.
 		e.fetchStateCost()
-		rt := e.cfg.Perf.Start(perf.PhaseRestore)
-		for i, t := range e.cfg.Trackers {
-			if err := t.Restore(key); err != nil {
-				rt.End()
-				e.discardCheckpoints(key, e.cfg.Trackers[i:])
-				return fmt.Errorf("mc: restore %s: %w", t.Name(), err)
-			}
+		if err := e.trackers.Restore(key); err != nil {
+			return err
 		}
-		rt.End()
 		if e.cfg.Mem != nil {
 			e.cfg.Mem.Release(e.stateBytes())
 		}
@@ -997,36 +1081,11 @@ func (e *engine) dfs(depth int) error {
 // step executes one operation on every target and runs the integrity
 // checks, recording a bug report on discrepancy.
 func (e *engine) step(op workload.Op) error {
-	targets := e.cfg.Checker.Targets()
-	mt := e.cfg.Perf.Start(perf.PhaseRemount)
-	for _, t := range e.cfg.Trackers {
-		if err := t.PreOp(); err != nil {
-			mt.End()
-			return fmt.Errorf("mc: pre-op %s: %w", t.Name(), err)
-		}
+	results, err := execute(&e.cfg, op)
+	if err != nil {
+		return err
 	}
-	mt.End()
-	et := e.cfg.Perf.Start(perf.PhaseExecute)
-	results := make([]checker.OpResult, len(targets))
-	for i, tgt := range targets {
-		results[i] = workload.Execute(e.cfg.Kernel, tgt.MountPoint, op)
-	}
-	et.End()
-	mt = e.cfg.Perf.Start(perf.PhaseRemount)
-	for _, t := range e.cfg.Trackers {
-		if err := t.PostOp(); err != nil {
-			mt.End()
-			return fmt.Errorf("mc: post-op %s: %w", t.Name(), err)
-		}
-	}
-	mt.End()
-	e.executed++
-	if e.eobs != nil {
-		e.eobs.ops.Inc()
-	}
-	e.cfg.Perf.Observe(e.executed, e.unique, e.revisits,
-		e.crashStats.PointsExplored, len(e.trail))
-	e.maybeBeat()
+	e.countExec()
 	opName := op.Kind.String()
 	e.coverage.ByOp[opName]++
 	pairs := e.coverage.ByOpErrno[opName]
@@ -1049,9 +1108,9 @@ func (e *engine) step(op workload.Op) error {
 
 	vt := e.cfg.Perf.Start(perf.PhaseVerify)
 	defer vt.End()
-	d, er := check(&e.cfg, op, results)
-	if er != errno.OK {
-		return fmt.Errorf("mc: state check: %w", er)
+	d, err := check(&e.cfg, op, results)
+	if err != nil {
+		return err
 	}
 	if d != nil {
 		e.report(d, op)
@@ -1061,23 +1120,24 @@ func (e *engine) step(op workload.Op) error {
 
 // check runs the post-operation checks on one step's results — the
 // per-target results first, then the abstract states — by majority vote
-// when cfg.MajorityVote is set, pairwise otherwise. Exploration and both
-// replays share it, so a replay judges a trail exactly as the run that
-// recorded it did. A non-OK errno means the states could not be hashed.
-func check(cfg *Config, op workload.Op, results []checker.OpResult) (*checker.Discrepancy, errno.Errno) {
+// when cfg.MajorityVote is set, pairwise otherwise. Exploration and every
+// replay share it, so a replay judges a trail exactly as the run that
+// recorded it did. An error means the states could not be hashed.
+func check(cfg *Config, op workload.Op, results []checker.OpResult) (*checker.Discrepancy, error) {
 	name := op.String()
+	var d *checker.Discrepancy
+	var er errno.Errno
 	if cfg.MajorityVote {
-		if d := cfg.Checker.CheckResultsMajority(name, results); d != nil {
-			return d, errno.OK
+		if d = cfg.Checker.CheckResultsMajority(name, results); d == nil {
+			d, _, er = cfg.Checker.CheckAndHashMajority(name)
 		}
-		d, _, er := cfg.Checker.CheckAndHashMajority(name)
-		return d, er
+	} else if d = cfg.Checker.CheckResults(name, results); d == nil {
+		d, _, er = cfg.Checker.CheckAndHash(name)
 	}
-	if d := cfg.Checker.CheckResults(name, results); d != nil {
-		return d, errno.OK
+	if er != errno.OK {
+		return nil, fmt.Errorf("mc: state check: %w", er)
 	}
-	d, _, er := cfg.Checker.CheckAndHash(name)
-	return d, er
+	return d, nil
 }
 
 func (e *engine) report(d *checker.Discrepancy, op workload.Op) {
@@ -1094,58 +1154,4 @@ func (e *engine) report(d *checker.Discrepancy, op workload.Op) {
 	// Fire the shared token right away so coordinated swarm peers stop
 	// within one operation instead of waiting for this run to unwind.
 	e.cfg.Cancel.Cancel("bug found")
-}
-
-// Replay executes a recorded trail from the targets' current (fresh)
-// state, checking after every operation, and returns the first
-// discrepancy (nil if the trail no longer reproduces). Replay mirrors
-// the engine's step environment — free-space equalization and the
-// per-operation tracker hooks (remounts for kernel file systems) run
-// exactly as they did during exploration — so a trail that exposed a
-// bug through those mechanics still does on replay.
-func Replay(cfg Config, trail []workload.Op) (*checker.Discrepancy, error) {
-	if cfg.EqualizeFreeSpace {
-		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
-			return nil, fmt.Errorf("mc: replay equalizing free space: %w", er)
-		}
-	}
-	targets := cfg.Checker.Targets()
-	for _, op := range trail {
-		for _, t := range cfg.Trackers {
-			if err := t.PreOp(); err != nil {
-				return nil, fmt.Errorf("mc: replay pre-op %s: %w", t.Name(), err)
-			}
-		}
-		results := make([]checker.OpResult, len(targets))
-		for i, tgt := range targets {
-			results[i] = workload.Execute(cfg.Kernel, tgt.MountPoint, op)
-		}
-		for _, t := range cfg.Trackers {
-			if err := t.PostOp(); err != nil {
-				return nil, fmt.Errorf("mc: replay post-op %s: %w", t.Name(), err)
-			}
-		}
-		d, er := check(&cfg, op, results)
-		if er != errno.OK {
-			return nil, fmt.Errorf("mc: replay state check: %w", er)
-		}
-		if d != nil {
-			return d, nil
-		}
-	}
-	return nil, nil
-}
-
-// VerifyTrail replays trail against cfg's fresh targets and reports
-// whether it reproduces the wanted discrepancy: any discrepancy when
-// want is nil, otherwise one of the same kind. The engine's check
-// granularity guarantees reproduction is judged against the first
-// discrepancy the replay hits, exactly as the original run did.
-func VerifyTrail(cfg Config, trail []workload.Op, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
-	got, err := Replay(cfg, trail)
-	if err != nil {
-		return nil, false, err
-	}
-	same := got != nil && (want == nil || got.Kind == want.Kind)
-	return got, same, nil
 }

@@ -23,9 +23,9 @@ type MinimizeOptions struct {
 	MaxReplays int
 	// Crash, when set, marks the trail as a crash-bug repro: the final
 	// operation is the one whose write window crashes, so it is pinned —
-	// ddmin shrinks only the prefix, and every candidate is verified with
-	// VerifyCrashTrail against this spec instead of VerifyTrail. The
-	// minimal repro can be the crash op alone.
+	// ddmin shrinks only the prefix, and every candidate's final op is
+	// crash-tested at this spec (VerifyCrashTrail). The minimal repro can
+	// be the crash op alone.
 	Crash *journal.CrashSpec
 }
 
@@ -89,12 +89,7 @@ func Minimize(factory func() (Config, func(), error), trail []workload.Op,
 		if len(final) > 0 {
 			full = append(append([]workload.Op(nil), candidate...), final...)
 		}
-		var same bool
-		if opts.Crash != nil {
-			_, same, err = VerifyCrashTrail(cfg, full, opts.Crash, want)
-		} else {
-			_, same, err = VerifyTrail(cfg, full, want)
-		}
+		_, same, err := verify(&cfg, full, opts.Crash, want)
 		if err != nil {
 			return false, fmt.Errorf("mc: minimize replay: %w", err)
 		}

@@ -1,10 +1,14 @@
-// Journal replay: re-execute a flight-recorder journal deterministically
-// against fresh file systems, verifying that every recorded observation
-// (per-target errnos, abstract state hashes, and the bug itself)
-// reproduces. This is the engine's nondeterminism made checkable: the
-// journal pins every choice the DFS made, so a divergence on replay
-// means either the file systems or the checker behaved differently —
-// exactly the signal a developer needs when a repro "stops working".
+// Replay: re-run what the engine ran against fresh file systems. Replay
+// and VerifyTrail follow one trail; ReplayJournal follows a whole
+// flight-recorder journal, verifying that every recorded observation
+// (per-target errnos, abstract state hashes, crash verdicts, and the bug
+// itself) reproduces. This is the engine's nondeterminism made
+// checkable: the journal pins every choice the DFS made, so a divergence
+// on replay means either the file systems or the checker behaved
+// differently — exactly the signal a developer needs when a repro
+// "stops working". Every replay runs the engine's own per-op sequence
+// (trackerSet checkpoints, execute, check, the state hash) and its own
+// crash session, never a copy of them.
 package mc
 
 import (
@@ -15,6 +19,95 @@ import (
 	"mcfs/internal/obs/journal"
 	"mcfs/internal/workload"
 )
+
+// Replay executes a recorded trail from the targets' current (fresh)
+// state, checking after every operation, and returns the first
+// discrepancy (nil if the trail no longer reproduces).
+func Replay(cfg Config, trail []workload.Op) (*checker.Discrepancy, error) {
+	return replay(&cfg, trail, nil)
+}
+
+// VerifyTrail replays trail against cfg's fresh targets and reports
+// whether it reproduces the wanted discrepancy: any discrepancy when
+// want is nil, otherwise one of the same kind.
+func VerifyTrail(cfg Config, trail []workload.Op, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
+	return verify(&cfg, trail, nil, want)
+}
+
+// VerifyCrashTrail is VerifyTrail for a crash-bug trail: the prefix
+// executes normally, then the FINAL operation is crash-tested on the
+// spec'd target at the spec'd write index. A nil spec verifies the
+// trail as VerifyTrail does.
+func VerifyCrashTrail(cfg Config, trail []workload.Op, spec *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
+	return verify(&cfg, trail, spec, want)
+}
+
+// verify is the one reproduction rule: replay the trail (crash-testing
+// its final op when spec is set) and match the first discrepancy the
+// replay hits against want by kind, exactly as the original run judged
+// its first one.
+func verify(cfg *Config, trail []workload.Op, spec *journal.CrashSpec, want *checker.Discrepancy) (*checker.Discrepancy, bool, error) {
+	got, err := replay(cfg, trail, spec)
+	if err != nil {
+		return nil, false, err
+	}
+	return got, got != nil && (want == nil || got.Kind == want.Kind), nil
+}
+
+// replay runs trail exactly as the engine ran it on its way down that
+// trail: the root's free-space equalization and initial hash (prepare),
+// then per op a checkpoint of every target, the step (execute and
+// check), and the state hash. A linear replay never backtracks, so each
+// checkpoint is discarded at once; it is taken because it acts on the
+// targets (a remount tracker syncs before it snapshots). With a spec,
+// the final op is crash-tested on the spec'd plane at spec.Write in the
+// engine's crash session instead of being stepped. A prefix discrepancy
+// is returned as it is: the trail diverged before the crash point.
+func replay(cfg *Config, trail []workload.Op, spec *journal.CrashSpec) (*checker.Discrepancy, error) {
+	var p *CrashPlane
+	if spec != nil {
+		if len(trail) == 0 {
+			return nil, fmt.Errorf("mc: crash replay: empty trail")
+		}
+		if p = crashPlaneFor(cfg, spec.Target); p == nil {
+			return nil, fmt.Errorf("mc: crash replay: no crash plane for target %d (session built without crash exploration?)", spec.Target)
+		}
+	}
+	if _, err := prepare(cfg); err != nil {
+		return nil, err
+	}
+	ts := trackersOf(cfg)
+	for i, op := range trail {
+		key := uint64(i)
+		err := ts.Checkpoint(key)
+		ts.Discard(key)
+		if err != nil {
+			return nil, err
+		}
+		if p != nil && i == len(trail)-1 {
+			d, err := replayProbe(cfg, p, op, []int{spec.Write})
+			if err != nil {
+				return nil, fmt.Errorf("mc: crash replay: %w", err)
+			}
+			return d, nil
+		}
+		results, err := execute(cfg, op)
+		if err != nil {
+			return nil, err
+		}
+		d, err := check(cfg, op, results)
+		if err != nil {
+			return nil, err
+		}
+		if d != nil {
+			return d, nil
+		}
+		if _, er := cfg.Checker.StateHash(); er != errno.OK {
+			return nil, fmt.Errorf("mc: hashing state: %w", er)
+		}
+	}
+	return nil, nil
+}
 
 // ReplayReport summarizes one journal replay.
 type ReplayReport struct {
@@ -41,8 +134,11 @@ type ReplayReport struct {
 // record is re-executed inside the same checkpoint/restore envelope the
 // engine used — checkpoint, execute, verify, and a restore for every
 // backtrack record — so the concrete state evolves exactly as recorded.
-// Replay stops at the first divergence, at the bug record (after
-// verifying the bug reproduces), or at the end of the journal.
+// The engine probes an op's crash windows after its checkpoint and
+// before stepping it, so an op's crash records come first: the first of
+// them takes the checkpoint and the op record reuses it. Replay stops at
+// the first divergence, at the bug record (after verifying the bug
+// reproduces), or at the end of the journal.
 func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 	rep := ReplayReport{}
 	worker, ok := replayWorker(recs)
@@ -52,41 +148,49 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 	rep.Worker = worker
 	recs = journal.WorkerRecords(recs, worker)
 
-	if cfg.EqualizeFreeSpace {
-		if er := cfg.Checker.EqualizeFreeSpace(); er != errno.OK {
-			return rep, fmt.Errorf("mc: replay equalizing free space: %w", er)
-		}
+	h, err := prepare(&cfg)
+	if err != nil {
+		return rep, err
+	}
+	diverged := func(seq int64, format string, args ...any) (ReplayReport, error) {
+		rep.Diverged, rep.DivergedAt, rep.Reason = true, seq, fmt.Sprintf(format, args...)
+		return rep, nil
 	}
 	// The meta record pins the initial state: diverging here means the
 	// replay session was assembled with different targets or options.
 	for _, r := range recs {
 		if r.T == journal.TypeMeta && r.Meta != nil && r.Meta.InitState != "" {
-			h, er := cfg.Checker.StateHash()
-			if er != errno.OK {
-				return rep, fmt.Errorf("mc: replay hashing initial state: %w", er)
-			}
 			if got := fmt.Sprintf("%x", h[:]); got != r.Meta.InitState {
-				rep.Diverged = true
-				rep.DivergedAt = r.Seq
-				rep.Reason = fmt.Sprintf("initial state hash %s, journal recorded %s", got, r.Meta.InitState)
-				return rep, nil
+				return diverged(r.Seq, "initial state hash %s, journal recorded %s", got, r.Meta.InitState)
 			}
 			break
 		}
 	}
 
-	targets := cfg.Checker.Targets()
+	ts := trackersOf(&cfg)
 	var keys []uint64 // checkpoint keys, innermost last
 	var nextKey uint64
+	held := false // the next op's checkpoint is taken (its crash records came first)
 	defer func() {
 		// Abandoned checkpoints (divergence, bug, truncated journal)
 		// must not leak images out of the snapshot pools.
 		for _, key := range keys {
-			for _, t := range cfg.Trackers {
-				t.Discard(key)
-			}
+			ts.Discard(key)
 		}
 	}()
+	checkpoint := func() error {
+		if held {
+			return nil
+		}
+		key := nextKey
+		nextKey++
+		if err := ts.Checkpoint(key); err != nil {
+			return err
+		}
+		keys = append(keys, key)
+		held = true
+		return nil
+	}
 
 	for _, rec := range recs {
 		switch rec.T {
@@ -98,31 +202,13 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("mc: journal record %d: %w", rec.Seq, err)
 			}
-			key := nextKey
-			nextKey++
-			for i, t := range cfg.Trackers {
-				if err := t.Checkpoint(key); err != nil {
-					for _, prev := range cfg.Trackers[:i] {
-						prev.Discard(key)
-					}
-					return rep, fmt.Errorf("mc: replay checkpoint %s: %w", t.Name(), err)
-				}
+			if err := checkpoint(); err != nil {
+				return rep, err
 			}
-			keys = append(keys, key)
-
-			for _, t := range cfg.Trackers {
-				if err := t.PreOp(); err != nil {
-					return rep, fmt.Errorf("mc: replay pre-op %s: %w", t.Name(), err)
-				}
-			}
-			results := make([]checker.OpResult, len(targets))
-			for i, tgt := range targets {
-				results[i] = workload.Execute(cfg.Kernel, tgt.MountPoint, op)
-			}
-			for _, t := range cfg.Trackers {
-				if err := t.PostOp(); err != nil {
-					return rep, fmt.Errorf("mc: replay post-op %s: %w", t.Name(), err)
-				}
+			held = false
+			results, err := execute(&cfg, op)
+			if err != nil {
+				return rep, err
 			}
 			rep.Steps++
 
@@ -130,11 +216,8 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 			if len(rec.Errnos) == len(results) {
 				for i, r := range results {
 					if got := r.Err.String(); got != rec.Errnos[i] {
-						rep.Diverged = true
-						rep.DivergedAt = rec.Seq
-						rep.Reason = fmt.Sprintf("op %s target %d returned %s, journal recorded %s",
+						return diverged(rec.Seq, "op %s target %d returned %s, journal recorded %s",
 							op, i, got, rec.Errnos[i])
-						return rep, nil
 					}
 				}
 			}
@@ -142,15 +225,12 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 			if rec.State == "" {
 				// The bug op: the engine stopped before hashing. Verify
 				// the discrepancy re-occurs with the same checks.
-				d, er := check(&cfg, op, results)
-				if er != errno.OK {
-					return rep, fmt.Errorf("mc: replay state check: %w", er)
+				d, err := check(&cfg, op, results)
+				if err != nil {
+					return rep, err
 				}
 				if d == nil {
-					rep.Diverged = true
-					rep.DivergedAt = rec.Seq
-					rep.Reason = fmt.Sprintf("op %s exposed no discrepancy, journal recorded a bug", op)
-					return rep, nil
+					return diverged(rec.Seq, "op %s exposed no discrepancy, journal recorded a bug", op)
 				}
 				rep.Bug = d
 				continue
@@ -158,13 +238,10 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 
 			h, er := cfg.Checker.StateHash()
 			if er != errno.OK {
-				return rep, fmt.Errorf("mc: replay hashing state: %w", er)
+				return rep, fmt.Errorf("mc: hashing state: %w", er)
 			}
 			if got := fmt.Sprintf("%x", h[:]); got != rec.State {
-				rep.Diverged = true
-				rep.DivergedAt = rec.Seq
-				rep.Reason = fmt.Sprintf("op %s reached state %s, journal recorded %s", op, got, rec.State)
-				return rep, nil
+				return diverged(rec.Seq, "op %s reached state %s, journal recorded %s", op, got, rec.State)
 			}
 
 		case journal.TypeBacktrack:
@@ -173,18 +250,16 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 			}
 			key := keys[len(keys)-1]
 			keys = keys[:len(keys)-1]
-			for i, t := range cfg.Trackers {
-				if err := t.Restore(key); err != nil {
-					for _, rest := range cfg.Trackers[i:] {
-						rest.Discard(key)
-					}
-					return rep, fmt.Errorf("mc: replay restore %s: %w", t.Name(), err)
-				}
+			if err := ts.Restore(key); err != nil {
+				return rep, err
 			}
 
 		case journal.TypeCrash:
 			if rec.Crash == nil {
 				return rep, fmt.Errorf("mc: journal record %d: crash record without crash data", rec.Seq)
+			}
+			if err := checkpoint(); err != nil {
+				return rep, err
 			}
 			if cfg.Crash == nil || rec.Crash.Op == nil {
 				// The replay session was built without crash exploration
@@ -196,21 +271,22 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 			if err != nil {
 				return rep, fmt.Errorf("mc: journal record %d: %w", rec.Seq, err)
 			}
-			d, err := replayCrashRecord(cfg, op, rec.Crash)
+			p := crashPlaneFor(&cfg, rec.Crash.Target)
+			if p == nil {
+				return rep, fmt.Errorf("mc: journal record %d: no crash plane for target %d (%s)",
+					rec.Seq, rec.Crash.Target, rec.Crash.TargetName)
+			}
+			d, err := replayProbe(&cfg, p, op, rec.Crash.Points)
 			if err != nil {
 				return rep, fmt.Errorf("mc: journal record %d: %w", rec.Seq, err)
 			}
-			if okNow := d == nil; okNow != rec.Crash.OK {
-				rep.Diverged = true
-				rep.DivergedAt = rec.Seq
-				if okNow {
-					rep.Reason = fmt.Sprintf("crash probe of %s on %s recovered cleanly, journal recorded a crash bug",
-						op, rec.Crash.TargetName)
-				} else {
-					rep.Reason = fmt.Sprintf("crash probe of %s on %s found %q, journal recorded clean recovery",
-						op, rec.Crash.TargetName, d.Kind)
-				}
-				return rep, nil
+			switch {
+			case d == nil && !rec.Crash.OK:
+				return diverged(rec.Seq, "crash probe of %s on %s recovered cleanly, journal recorded a crash bug",
+					op, rec.Crash.TargetName)
+			case d != nil && rec.Crash.OK:
+				return diverged(rec.Seq, "crash probe of %s on %s found %q, journal recorded clean recovery",
+					op, rec.Crash.TargetName, d.Kind)
 			}
 			if d != nil {
 				// The recorded crash bug re-occurred; the bug record that
@@ -223,77 +299,16 @@ func ReplayJournal(cfg Config, recs []journal.Record) (ReplayReport, error) {
 				return rep, fmt.Errorf("mc: journal record %d: bug record without bug", rec.Seq)
 			}
 			if rep.Bug == nil {
-				rep.Diverged = true
-				rep.DivergedAt = rec.Seq
-				rep.Reason = "journal recorded a bug, replay observed none"
-				return rep, nil
+				return diverged(rec.Seq, "journal recorded a bug, replay observed none")
 			}
 			if rep.Bug.Kind != rec.Bug.Kind {
-				rep.Diverged = true
-				rep.DivergedAt = rec.Seq
-				rep.Reason = fmt.Sprintf("replay discrepancy kind %q, journal recorded %q",
-					rep.Bug.Kind, rec.Bug.Kind)
-				return rep, nil
+				return diverged(rec.Seq, "replay discrepancy kind %q, journal recorded %q", rep.Bug.Kind, rec.Bug.Kind)
 			}
 			rep.BugReproduced = true
 			return rep, nil
 		}
 	}
 	return rep, nil
-}
-
-// replayCrashRecord re-runs a journaled crash probe at the targets'
-// current state: measure op's write window on the recorded plane, roll
-// back, and crash-test every recorded point that still falls inside the
-// window. Returns the first discrepancy (nil when every point recovers
-// cleanly), always leaving the target in its pre-probe state.
-func replayCrashRecord(cfg Config, op workload.Op, rec *journal.CrashRecord) (*checker.Discrepancy, error) {
-	p := crashPlaneFor(cfg, rec.Target)
-	if p == nil {
-		return nil, fmt.Errorf("no crash plane for target %d (%s)", rec.Target, rec.TargetName)
-	}
-	pre, err := p.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	b0, er := p.MetaHash()
-	if er != errno.OK {
-		return nil, fmt.Errorf("hashing pre-op state: %w", er)
-	}
-	w, err := crashWindow(&cfg, p, op, nil)
-	if err != nil {
-		return nil, err
-	}
-	b1, er := p.MetaHash()
-	if er != errno.OK {
-		return nil, fmt.Errorf("hashing post-op state: %w", er)
-	}
-	if err := p.Restore(pre); err != nil {
-		return nil, fmt.Errorf("rolling back measurement run: %w", err)
-	}
-	for _, k := range rec.Points {
-		if k >= w {
-			continue
-		}
-		if _, err := crashWindow(&cfg, p, op, []int{k}); err != nil {
-			return nil, err
-		}
-		img := p.Injector.TakeCrashImage()
-		if img == nil {
-			if err := p.Restore(pre); err != nil {
-				return nil, fmt.Errorf("rolling back crash run: %w", err)
-			}
-			continue
-		}
-		d := crashOracle(cfg.Perf, p, op, k, w, img, b0, b1)
-		if err := p.Restore(pre); err != nil {
-			return nil, fmt.Errorf("rolling back crash run: %w", err)
-		}
-		if d != nil {
-			return d, nil
-		}
-	}
-	return nil, nil
 }
 
 // replayWorker picks the journal worker to replay: the first to record

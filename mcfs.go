@@ -863,7 +863,8 @@ func (s *Session) VerifyTrail(trail []Op, want *Discrepancy) (*Discrepancy, bool
 // normally, then the final operation is crash-tested on the spec'd
 // target at the spec'd write index — and reports whether it reproduces
 // the wanted discrepancy. The session must have been built with
-// CrashExploration (the crash planes carry the fault injectors).
+// CrashExploration (the crash planes carry the fault injectors). A nil
+// spec verifies the trail as VerifyTrail does.
 func (s *Session) VerifyCrashTrail(trail []Op, spec *CrashSpec, want *Discrepancy) (*Discrepancy, bool, error) {
 	return mc.VerifyCrashTrail(s.cfg, trail, spec, want)
 }

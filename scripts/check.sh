@@ -24,8 +24,9 @@
 #      journal-ordering bug is found only under      to end: crash points
 #      -crash, its bundle replays and shrinks, the   -> oracle -> verdict
 #      -crash-heatmap artifact pinpoints it with a   heatmap -> bundle ->
-#      "bug" cell, and the same run without -crash   replay -> shrink)
-#      stays clean
+#      "bug" cell, the same round trip at -seed 1    replay -> shrink)
+#      -depth 2 passes too, and the same run
+#      without -crash stays clean
 #   9. mcfslint ./...                                (domain static
 #      plus: -list and -json must name the            analysis: checkpoint
 #      full nine-analyzer suite, so a registry        leaks, map-order
@@ -115,6 +116,21 @@ grep -q '"bug"' "$heatmap" || {
 	echo "FAIL: crash bundle shrink failed"; exit 1; }
 "$work/mcfs" replay "$crashbundle" >/dev/null || {
 	echo "FAIL: minimized crash bundle did not reproduce"; exit 1; }
+# A shuffled search order (any seed but 0) reaches the crashing op after
+# other ops were explored and backtracked: replay must still run the
+# engine's own checkpoint -> probe sequence and re-find the bug, both
+# from the trail and from the bundle's journal.
+seedbundle="$work/crashbundle-seed1"
+rc=0
+"$work/mcfs" -fs ext2 -fs ext4 -bug journal-commit-first -crash \
+	-seed 1 -depth 2 -max-ops 5000 -bundle "$seedbundle" >/dev/null || rc=$?
+[ "$rc" -eq 3 ] || { echo "FAIL: seeded crash-bug run (-seed 1) exited $rc, want 3 (bug found)"; exit 1; }
+"$work/mcfs" replay "$seedbundle" >/dev/null || {
+	echo "FAIL: -seed 1 crash bundle did not reproduce deterministically"; exit 1; }
+"$work/mcfs" shrink "$seedbundle" >/dev/null || {
+	echo "FAIL: -seed 1 crash bundle shrink failed"; exit 1; }
+"$work/mcfs" replay "$seedbundle" >/dev/null || {
+	echo "FAIL: minimized -seed 1 crash bundle did not reproduce"; exit 1; }
 rc=0
 "$work/mcfs" -fs ext2 -fs ext4 -bug journal-commit-first \
 	-depth 1 -max-ops 5000 >/dev/null || rc=$?
