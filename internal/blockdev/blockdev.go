@@ -54,8 +54,10 @@ type Device interface {
 	BlockSize() int
 	// Sync flushes the device write cache, charging the flush cost.
 	Sync() error
-	// Snapshot returns a copy of the full device image.
-	Snapshot() ([]byte, error)
+	// Snapshot copies the full device image into dst and returns it.
+	// A nil or wrong-sized dst is replaced by a fresh allocation, so
+	// callers that keep images can recycle consumed ones as dst.
+	Snapshot(dst []byte) ([]byte, error)
 	// Restore overwrites the device contents with a previously taken
 	// snapshot, charging the cost of writing the whole device.
 	Restore(img []byte) error
@@ -327,12 +329,14 @@ func (d *Disk) Sync() error {
 
 // Snapshot implements Device. The image is read through the page cache
 // (the paper mmaps the device, so resident pages cost RAM time).
-func (d *Disk) Snapshot() ([]byte, error) {
+func (d *Disk) Snapshot(dst []byte) ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	defer d.obsHub.StartSpan(obs.LayerBlockdev, "snapshot:"+d.name).End()
-	img := make([]byte, len(d.data))
-	copy(img, d.data)
+	if len(dst) != len(d.data) {
+		dst = make([]byte, len(d.data))
+	}
+	copy(dst, d.data)
 	coldPages := 0
 	for pg := range d.cached {
 		if !d.cached[pg] {
@@ -346,7 +350,7 @@ func (d *Disk) Snapshot() ([]byte, error) {
 		d.charge(d.profile.Seek + time.Duration(coldPages*cachePage/1024)*d.profile.PerKiB)
 	}
 	d.charge(time.Duration(len(d.data)/1024) * d.profile.CachedPerKiB)
-	return img, nil
+	return dst, nil
 }
 
 // Restore implements Device: the image is written through to the medium

@@ -50,7 +50,7 @@ func TestDiskSnapshotRestore(t *testing.T) {
 	if err := d.WriteAt([]byte("state A"), 0); err != nil {
 		t.Fatal(err)
 	}
-	img, err := d.Snapshot()
+	img, err := d.Snapshot(nil)
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestDiskRestoreSizeMismatch(t *testing.T) {
 
 func TestSnapshotIsCopy(t *testing.T) {
 	d := NewRAM("ram0", 4096, simclock.New())
-	img, _ := d.Snapshot()
+	img, _ := d.Snapshot(nil)
 	img[0] = 0xAB
 	got := make([]byte, 1)
 	if err := d.ReadAt(got, 0); err != nil {
@@ -153,7 +153,7 @@ func TestLoadImageDelta(t *testing.T) {
 	if err := d.WriteAt([]byte("BBBB"), 8192); err != nil {
 		t.Fatal(err)
 	}
-	img, err := d.Snapshot()
+	img, err := d.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestLoadImageDeltaMatchesFullLoad(t *testing.T) {
 	if err := delta.LoadImage(seed); err != nil {
 		t.Fatal(err)
 	}
-	img, err := delta.Snapshot()
+	img, err := delta.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestLoadImageDeltaMatchesFullLoad(t *testing.T) {
 	if err := delta.LoadImageDelta(img, regions); err != nil {
 		t.Fatal(err)
 	}
-	got, err := delta.Snapshot()
+	got, err := delta.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := full.Snapshot()
+	want, err := full.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestMTDBlockSnapshotRestore(t *testing.T) {
 	if err := b.WriteAt([]byte("AAAA"), 0); err != nil {
 		t.Fatal(err)
 	}
-	img, err := b.Snapshot()
+	img, err := b.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

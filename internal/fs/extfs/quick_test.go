@@ -170,7 +170,7 @@ func TestQuickSnapshotRestoreRoundtrip(t *testing.T) {
 			return false
 		}
 		before := fingerprint(t, f)
-		img, err := dev.Snapshot()
+		img, err := dev.Snapshot(nil)
 		if err != nil {
 			return false
 		}

@@ -18,9 +18,11 @@
 package jffs2sim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 	"time"
 
@@ -63,7 +65,6 @@ type FS struct {
 	// per-eraseblock used bytes (live + dead); dead tracked for GC stats
 	blockUsed []int
 
-	inGC      bool
 	unmounted bool
 }
 
@@ -118,67 +119,92 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 		parent:  RootIno,
 	}
 
-	// Full device scan: collect every valid node.
+	// Full device scan, in place: payloads point into the flash, so the
+	// scan, the sort and the replay all run inside one read view and
+	// replay copies whatever the in-memory state keeps.
 	type scanned struct {
 		version uint32
 		typ     uint16
+		pos     int // scan position: the node's byte offset on the device
 		payload []byte
 	}
-	var nodes []scanned
 	es := mtd.EraseSize()
-	buf := make([]byte, es)
-	for blk := 0; blk < len(f.blockUsed); blk++ {
-		if err := mtd.ReadAt(buf, int64(blk*es)); err != nil {
-			return nil, err
-		}
-		pos := 0
-		sealed := false
-		for pos+nodeHeader <= es {
-			le := binary.LittleEndian
-			if le.Uint16(buf[pos:]) != NodeMagic {
-				// All-0xFF means the erased tail of the block. Anything
-				// else is the debris of a write that tore inside the
-				// header: seal the block so the write head never programs
-				// over half-written flash.
-				if !erasedRegion(buf[pos : pos+nodeHeader]) {
-					sealed = true
+	err := mtd.View(func(v *blockdev.MTDView) error {
+		var nodes []scanned
+		for blk := range f.blockUsed {
+			buf, err := v.EraseBlock(blk)
+			if err != nil {
+				return err
+			}
+			pos := 0
+			sealed := false
+			for pos+nodeHeader <= es {
+				le := binary.LittleEndian
+				if le.Uint16(buf[pos:]) != NodeMagic {
+					// All-0xFF means the erased tail of the block. Anything
+					// else is the debris of a write that tore inside the
+					// header: seal the block so the write head never
+					// programs over half-written flash.
+					if !erasedRegion(buf[pos : pos+nodeHeader]) {
+						sealed = true
+					}
+					break
 				}
-				break
+				typ := le.Uint16(buf[pos+2:])
+				totLen := int(le.Uint32(buf[pos+4:]))
+				version := le.Uint32(buf[pos+8:])
+				crc := le.Uint32(buf[pos+12:])
+				if totLen < nodeHeader || pos+totLen > es {
+					// Torn header: the length field never finished
+					// programming.
+					sealed = true
+					break
+				}
+				want := crc32.ChecksumIEEE(buf[pos : pos+12])
+				want = crc32.Update(want, crc32.IEEETable, buf[pos+nodeHeader:pos+totLen])
+				if crc != want {
+					// Torn or corrupted node: like real JFFS2, the scan
+					// drops the bad node and everything after it in the
+					// block — the log up to this point is the consistent
+					// prefix.
+					sealed = true
+					break
+				}
+				nodes = append(nodes, scanned{version: version, typ: typ, pos: blk*es + pos,
+					payload: buf[pos+nodeHeader : pos+totLen]})
+				pos += totLen
+				if version > f.version {
+					f.version = version
+				}
 			}
-			typ := le.Uint16(buf[pos+2:])
-			totLen := int(le.Uint32(buf[pos+4:]))
-			version := le.Uint32(buf[pos+8:])
-			crc := le.Uint32(buf[pos+12:])
-			if totLen < nodeHeader || pos+totLen > es {
-				// Torn header: the length field never finished programming.
-				sealed = true
-				break
-			}
-			want := crc32.ChecksumIEEE(buf[pos : pos+12])
-			want = crc32.Update(want, crc32.IEEETable, buf[pos+nodeHeader:pos+totLen])
-			if crc != want {
-				// Torn or corrupted node: like real JFFS2, the scan drops
-				// the bad node and everything after it in the block — the
-				// log up to this point is the consistent prefix.
-				sealed = true
-				break
-			}
-			payload := make([]byte, totLen-nodeHeader)
-			copy(payload, buf[pos+nodeHeader:pos+totLen])
-			nodes = append(nodes, scanned{version: version, typ: typ, payload: payload})
-			pos += totLen
-			if version > f.version {
-				f.version = version
+			if sealed {
+				f.blockUsed[blk] = es // no appends here until GC erases it
+			} else {
+				f.blockUsed[blk] = pos
 			}
 		}
-		if sealed {
-			f.blockUsed[blk] = es // no appends here until GC erases it
-		} else {
-			f.blockUsed[blk] = pos
+		slices.SortFunc(nodes, func(a, b scanned) int {
+			if c := cmp.Compare(a.version, b.version); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.pos, b.pos)
+		})
+		for _, n := range nodes {
+			switch n.typ {
+			case nodeInode:
+				f.applyInodeNode(n.payload)
+			case nodeDirent:
+				f.applyDirentNode(n.payload)
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Position the write head at the first block with free space.
-	f.curBlock, f.curOff = 0, 0
+	// Position the write head at the first block with free space. With
+	// none, the head starts out full, so the first append collects.
+	f.curBlock, f.curOff = 0, es
 	for blk, used := range f.blockUsed {
 		if used < es {
 			f.curBlock, f.curOff = blk, used
@@ -186,15 +212,6 @@ func Mount(mtd *blockdev.MTD, clock *simclock.Clock) (*FS, error) {
 		}
 	}
 
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].version < nodes[j].version })
-	for _, n := range nodes {
-		switch n.typ {
-		case nodeInode:
-			f.applyInodeNode(n.payload)
-		case nodeDirent:
-			f.applyDirentNode(n.payload)
-		}
-	}
 	// Drop inodes with no links (fully deleted).
 	for ino, nd := range f.inodes {
 		if ino != RootIno && nd.nlink == 0 {
@@ -298,22 +315,20 @@ func (f *FS) applyInodeNode(p []byte) {
 	if mode.IsDir() && nd.entries == nil {
 		nd.entries = make(map[string]uint32)
 	}
-	// Apply the data fragment, then clamp/extend to isize.
+	// Apply the data fragment, then clamp/extend to isize. Growth
+	// appends zeros (amortised over the replay of a file's nodes) and
+	// copies the fragment out of the flash.
 	if dataLen > 0 {
 		end := off + int64(dataLen)
-		if int64(len(nd.content)) < end {
-			nc := make([]byte, end)
-			copy(nc, nd.content)
-			nd.content = nc
+		if n := int64(len(nd.content)); n < end {
+			nd.content = append(nd.content, make([]byte, end-n)...)
 		}
 		copy(nd.content[off:end], data)
 	}
-	if int64(len(nd.content)) > isize {
+	if n := int64(len(nd.content)); n > isize {
 		nd.content = nd.content[:isize]
-	} else if int64(len(nd.content)) < isize {
-		nc := make([]byte, isize)
-		copy(nc, nd.content)
-		nd.content = nc
+	} else if n < isize {
+		nd.content = append(nd.content, make([]byte, isize-n)...)
 	}
 	nd.size = isize
 	if ino >= f.nextIno {
@@ -388,32 +403,76 @@ func (f *FS) applyDirentNode(p []byte) {
 
 // --- log appending & GC ---------------------------------------------------
 
-// appendNode writes one node to the log, garbage-collecting if needed.
-func (f *FS) appendNode(typ uint16, payload []byte) errno.Errno {
-	totLen := nodeHeader + len(payload)
+// logNode is one node waiting to be appended to the log.
+type logNode struct {
+	typ     uint16
+	payload []byte
+}
+
+// commit appends nodes to the log as one unit. When they do not fit, it
+// garbage-collects first; when even the compacted log would not hold
+// them, it returns ENOSPC having written and erased nothing.
+func (f *FS) commit(nodes []logNode) errno.Errno {
 	es := f.mtd.EraseSize()
-	if totLen > es {
-		return errno.EFBIG
-	}
-	if !f.reserve(totLen) {
-		if f.inGC {
-			return errno.ENOSPC // the live state itself does not fit
+	for _, n := range nodes {
+		if nodeHeader+len(n.payload) > es {
+			return errno.EFBIG
 		}
-		if e := f.gc(); e != errno.OK {
+	}
+	free := 0
+	for blk, used := range f.blockUsed {
+		if used == 0 && blk != f.curBlock {
+			free++
+		}
+	}
+	if !placeable(es, f.curOff, free, nodes) {
+		if e := f.gc(nodes); e != errno.OK {
 			return e
 		}
-		if !f.reserve(totLen) {
-			return errno.ENOSPC
+	}
+	for _, n := range nodes {
+		if e := f.writeNode(n); e != errno.OK {
+			return e
 		}
 	}
+	return errno.OK
+}
+
+// placeable reports whether nodes can be written, in order, starting at
+// offset off of the current block with free untouched blocks to spill
+// into. It mirrors reserve: a node that does not fit in the rest of the
+// current block starts the next free block.
+func placeable(es, off, free int, nodes []logNode) bool {
+	for _, n := range nodes {
+		size := nodeHeader + len(n.payload)
+		if off+size > es {
+			if free == 0 {
+				return false
+			}
+			free--
+			off = 0
+		}
+		off += size
+	}
+	return true
+}
+
+// writeNode programs one node at the write head. The caller has checked
+// that it fits.
+func (f *FS) writeNode(n logNode) errno.Errno {
+	totLen := nodeHeader + len(n.payload)
+	if !f.reserve(totLen) {
+		return errno.ENOSPC
+	}
+	es := f.mtd.EraseSize()
 	f.version++
 	node := make([]byte, totLen)
 	le := binary.LittleEndian
 	le.PutUint16(node[0:], NodeMagic)
-	le.PutUint16(node[2:], typ)
+	le.PutUint16(node[2:], n.typ)
 	le.PutUint32(node[4:], uint32(totLen))
 	le.PutUint32(node[8:], f.version)
-	copy(node[nodeHeader:], payload)
+	copy(node[nodeHeader:], n.payload)
 	crc := crc32.ChecksumIEEE(node[0:12])
 	crc = crc32.Update(crc, crc32.IEEETable, node[nodeHeader:])
 	le.PutUint32(node[12:], crc)
@@ -445,9 +504,27 @@ func (f *FS) reserve(n int) bool {
 // gc compacts the entire live state into freshly erased blocks. Real
 // JFFS2 collects block by block; whole-log compaction is the simplest
 // policy with the same observable result and a similar (large) cost.
-func (f *FS) gc() errno.Errno {
-	f.inGC = true
-	defer func() { f.inGC = false }()
+// It first checks that the live state and the pending nodes fit on an
+// empty log: when they do not, it returns ENOSPC before erasing
+// anything, so the log still holds the state it held.
+func (f *FS) gc(pending []logNode) errno.Errno {
+	inos := make([]uint32, 0, len(f.inodes))
+	for ino := range f.inodes {
+		inos = append(inos, ino)
+	}
+	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	var live []logNode
+	for _, ino := range inos {
+		nd := f.inodes[ino]
+		live = appendInodeNodes(live, nd, ino, 0, nd.content)
+		for _, name := range nd.order {
+			live = append(live, logNode{nodeDirent, encodeDirentNode(ino, nd.entries[name], name)})
+		}
+	}
+	all := append(live[:len(live):len(live)], pending...)
+	if !placeable(f.mtd.EraseSize(), 0, len(f.blockUsed)-1, all) {
+		return errno.ENOSPC
+	}
 	for blk := range f.blockUsed {
 		if err := f.mtd.Erase(blk); err != nil {
 			return errno.EIO
@@ -455,58 +532,35 @@ func (f *FS) gc() errno.Errno {
 		f.blockUsed[blk] = 0
 	}
 	f.curBlock, f.curOff = 0, 0
-	// Rewrite every inode and dirent as fresh nodes.
-	inos := make([]uint32, 0, len(f.inodes))
-	for ino := range f.inodes {
-		inos = append(inos, ino)
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	for _, ino := range inos {
-		nd := f.inodes[ino]
-		// Metadata-plus-data nodes in MaxDataPerNode chunks.
-		if len(nd.content) == 0 {
-			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, 0, nil)); e != errno.OK {
-				return e
-			}
-		}
-		for off := 0; off < len(nd.content); off += MaxDataPerNode {
-			end := off + MaxDataPerNode
-			if end > len(nd.content) {
-				end = len(nd.content)
-			}
-			if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, int64(off), nd.content[off:end])); e != errno.OK {
-				return e
-			}
-		}
-		if nd.entries != nil {
-			for _, name := range nd.order {
-				if e := f.appendNode(nodeDirent, encodeDirentNode(ino, nd.entries[name], name)); e != errno.OK {
-					return e
-				}
-			}
-		}
-	}
-	return errno.OK
-}
-
-// logInode persists the current metadata (and optionally a data fragment)
-// of an inode.
-func (f *FS) logInode(ino uint32, nd *inodeInfo, off int64, data []byte) errno.Errno {
-	if len(data) <= MaxDataPerNode {
-		return f.appendNode(nodeInode, encodeInodeNode(nd, ino, off, data))
-	}
-	for pos := 0; pos < len(data); pos += MaxDataPerNode {
-		end := pos + MaxDataPerNode
-		if end > len(data) {
-			end = len(data)
-		}
-		if e := f.appendNode(nodeInode, encodeInodeNode(nd, ino, off+int64(pos), data[pos:end])); e != errno.OK {
+	for _, n := range live {
+		if e := f.writeNode(n); e != errno.OK {
 			return e
 		}
 	}
 	return errno.OK
 }
 
+// appendInodeNodes appends the inode nodes that persist nd's metadata
+// and the data fragment at off, split into MaxDataPerNode chunks (one
+// metadata-only node when data is empty).
+func appendInodeNodes(nodes []logNode, nd *inodeInfo, ino uint32, off int64, data []byte) []logNode {
+	pos := 0
+	for {
+		end := min(pos+MaxDataPerNode, len(data))
+		nodes = append(nodes, logNode{nodeInode, encodeInodeNode(nd, ino, off+int64(pos), data[pos:end])})
+		pos = end
+		if pos >= len(data) {
+			return nodes
+		}
+	}
+}
+
+// logInode persists the current metadata (and optionally a data fragment)
+// of an inode: all of its nodes, or none.
+func (f *FS) logInode(ino uint32, nd *inodeInfo, off int64, data []byte) errno.Errno {
+	return f.commit(appendInodeNodes(nil, nd, ino, off, data))
+}
+
 func (f *FS) logDirent(parent, ino uint32, name string) errno.Errno {
-	return f.appendNode(nodeDirent, encodeDirentNode(parent, ino, name))
+	return f.commit([]logNode{{nodeDirent, encodeDirentNode(parent, ino, name)}})
 }

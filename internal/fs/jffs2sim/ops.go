@@ -71,62 +71,68 @@ func (f *FS) Getattr(ino vfs.Ino) (vfs.Stat, errno.Errno) {
 	}, errno.OK
 }
 
-// Setattr implements vfs.FS.
+// Setattr implements vfs.FS. The change is built on a copy of the
+// inode and installed only once it is logged, so a failure leaves the
+// inode as it was.
 func (f *FS) Setattr(ino vfs.Ino, attr vfs.SetAttr) errno.Errno {
 	nd := f.get(ino)
 	if nd == nil {
 		return errno.ENOENT
 	}
 	now := f.now()
+	upd := *nd
 	changed := false
 	if attr.Mode != nil {
-		nd.mode = nd.mode&vfs.ModeMask | attr.Mode.Perm()
-		nd.ctime = now
+		upd.mode = upd.mode&vfs.ModeMask | attr.Mode.Perm()
+		upd.ctime = now
 		changed = true
 	}
 	if attr.UID != nil {
-		nd.uid = *attr.UID
-		nd.ctime = now
+		upd.uid = *attr.UID
+		upd.ctime = now
 		changed = true
 	}
 	if attr.GID != nil {
-		nd.gid = *attr.GID
-		nd.ctime = now
+		upd.gid = *attr.GID
+		upd.ctime = now
 		changed = true
 	}
 	if attr.Size != nil {
-		if nd.mode.IsDir() {
+		if upd.mode.IsDir() {
 			return errno.EISDIR
 		}
-		if !nd.mode.IsRegular() {
+		if !upd.mode.IsRegular() {
 			return errno.EINVAL
 		}
 		size := *attr.Size
 		if size < 0 {
 			return errno.EINVAL
 		}
-		if size <= int64(len(nd.content)) {
-			nd.content = nd.content[:size]
+		if size <= int64(len(upd.content)) {
+			upd.content = upd.content[:size]
 		} else {
 			nc := make([]byte, size)
-			copy(nc, nd.content)
-			nd.content = nc
+			copy(nc, upd.content)
+			upd.content = nc
 		}
-		nd.size = size
-		nd.mtime = now
-		nd.ctime = now
+		upd.size = size
+		upd.mtime = now
+		upd.ctime = now
 		changed = true
 	}
 	if attr.Atime != nil {
-		nd.atime = *attr.Atime
+		upd.atime = *attr.Atime
 	}
 	if attr.Mtime != nil {
-		nd.mtime = *attr.Mtime
+		upd.mtime = *attr.Mtime
 		changed = true
 	}
 	if changed {
-		return f.logInode(uint32(ino), nd, 0, nil)
+		if e := f.logInode(uint32(ino), &upd, 0, nil); e != errno.OK {
+			return e
+		}
 	}
+	*nd = upd
 	return errno.OK
 }
 
@@ -321,7 +327,7 @@ func (f *FS) Read(ino vfs.Ino, off int64, n int) ([]byte, errno.Errno) {
 	return out, errno.OK
 }
 
-// Write implements vfs.FS: update memory, then append log nodes.
+// Write implements vfs.FS: append log nodes, then update memory.
 func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	nd := f.get(ino)
 	if nd == nil {
@@ -336,25 +342,24 @@ func (f *FS) Write(ino vfs.Ino, off int64, data []byte) (int, errno.Errno) {
 	if off < 0 {
 		return 0, errno.EINVAL
 	}
+	// Log first, from a copy carrying the new size and times, so a
+	// failed append leaves memory untouched (and a GC it triggers
+	// compacts the state without the pending write).
 	end := off + int64(len(data))
-	oldContent := nd.content
-	oldSize := nd.size
-	if end > int64(len(nd.content)) {
-		nc := make([]byte, end)
-		copy(nc, nd.content)
-		nd.content = nc
-	}
-	copy(nd.content[off:end], data)
-	if end > nd.size {
-		nd.size = end
-	}
 	now := f.now()
-	nd.mtime, nd.ctime = now, now
-	if e := f.logInode(uint32(ino), nd, off, data); e != errno.OK {
-		nd.content = oldContent
-		nd.size = oldSize
+	upd := *nd
+	upd.size = max(nd.size, end)
+	upd.mtime, upd.ctime = now, now
+	if e := f.logInode(uint32(ino), &upd, off, data); e != errno.OK {
 		return 0, e
 	}
+	if end > int64(len(upd.content)) {
+		nc := make([]byte, end)
+		copy(nc, upd.content)
+		upd.content = nc
+	}
+	copy(upd.content[off:end], data)
+	*nd = upd
 	return len(data), errno.OK
 }
 

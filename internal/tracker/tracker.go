@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/kernel"
 	"mcfs/internal/obs"
@@ -111,6 +112,52 @@ func (t obsTimer) end() {
 	t.span.End()
 }
 
+// --- Device images ---------------------------------------------------------
+
+// imageStore holds the device images a device-level tracker saved, by
+// checkpoint key, and recycles the buffers of images that Restore,
+// Discard and re-checkpoints give back, so a checkpoint is one copy into
+// a reused buffer instead of a fresh device-sized allocation. A buffer
+// is either live under exactly one key or on the free list, never both.
+type imageStore struct {
+	live map[uint64][]byte
+	free [][]byte
+}
+
+func newImageStore() imageStore { return imageStore{live: make(map[uint64][]byte)} }
+
+// save snapshots dev under key, replacing (and recycling) any image
+// already there. A failed snapshot leaves the store unchanged.
+func (s *imageStore) save(dev blockdev.Device, key uint64) error {
+	var dst []byte
+	if n := len(s.free); n > 0 {
+		dst, s.free = s.free[n-1], s.free[:n-1]
+	}
+	img, err := dev.Snapshot(dst)
+	if err != nil {
+		s.recycle(dst)
+		return err
+	}
+	s.drop(key)
+	s.live[key] = img
+	return nil
+}
+
+// drop forgets the image under key and recycles its buffer. The caller
+// must not use the image afterwards.
+func (s *imageStore) drop(key uint64) {
+	if img, ok := s.live[key]; ok {
+		delete(s.live, key)
+		s.recycle(img)
+	}
+}
+
+func (s *imageStore) recycle(buf []byte) {
+	if buf != nil {
+		s.free = append(s.free, buf)
+	}
+}
+
 // --- Remount tracker -------------------------------------------------------
 
 // RemountTracker tracks a device-backed file system by snapshotting the
@@ -119,7 +166,7 @@ type RemountTracker struct {
 	k           *kernel.Kernel
 	point       string
 	perOpRemnts bool
-	snapshots   map[uint64][]byte
+	images      imageStore
 	obs         obsInstruments
 }
 
@@ -151,7 +198,7 @@ func NewRemount(k *kernel.Kernel, point string, perOpRemounts bool) *RemountTrac
 		k:           k,
 		point:       point,
 		perOpRemnts: perOpRemounts,
-		snapshots:   make(map[uint64][]byte),
+		images:      newImageStore(),
 	}
 }
 
@@ -182,12 +229,10 @@ func (t *RemountTracker) Checkpoint(key uint64) error {
 	if e := t.k.SyncFS(t.point); e != errno.OK {
 		return e
 	}
-	img, err := dev.Snapshot()
-	if err != nil {
+	if err := t.images.save(dev, key); err != nil {
 		return err
 	}
 	t.chargeStateCPU()
-	t.snapshots[key] = img
 	return nil
 }
 
@@ -196,7 +241,7 @@ func (t *RemountTracker) Checkpoint(key uint64) error {
 // no stale state remains in kernel memory (§3.2).
 func (t *RemountTracker) Restore(key uint64) error {
 	defer t.obs.beginRestore().end()
-	img, ok := t.snapshots[key]
+	img, ok := t.images.live[key]
 	if !ok {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
@@ -213,12 +258,12 @@ func (t *RemountTracker) Restore(key uint64) error {
 		return err
 	}
 	t.chargeStateCPU()
-	delete(t.snapshots, key)
+	t.images.drop(key)
 	return t.k.Mount(t.point, spec, opts)
 }
 
 // Discard implements Tracker.
-func (t *RemountTracker) Discard(key uint64) { delete(t.snapshots, key) }
+func (t *RemountTracker) Discard(key uint64) { t.images.drop(key) }
 
 // PreOp implements Tracker: remount before the operation when enabled.
 func (t *RemountTracker) PreOp() error {
@@ -261,10 +306,10 @@ func mountSpecOf(m *kernel.Mount) (kernel.FilesystemSpec, kernel.MountOptions) {
 // volume. It exists to demonstrate that failure (experiment E8); do not
 // use it for real checking.
 type DiskOnlyTracker struct {
-	k         *kernel.Kernel
-	point     string
-	snapshots map[uint64][]byte
-	obs       obsInstruments
+	k      *kernel.Kernel
+	point  string
+	images imageStore
+	obs    obsInstruments
 }
 
 // SetObs implements ObsSetter.
@@ -272,7 +317,7 @@ func (t *DiskOnlyTracker) SetObs(h *obs.Hub) { t.obs.attach(h, t.Name()) }
 
 // NewDiskOnly builds the broken disk-only tracker.
 func NewDiskOnly(k *kernel.Kernel, point string) *DiskOnlyTracker {
-	return &DiskOnlyTracker{k: k, point: point, snapshots: make(map[uint64][]byte)}
+	return &DiskOnlyTracker{k: k, point: point, images: newImageStore()}
 }
 
 // Name implements Tracker.
@@ -288,12 +333,7 @@ func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
 	if e := t.k.SyncFS(t.point); e != errno.OK {
 		return e
 	}
-	img, err := m.Dev().Snapshot()
-	if err != nil {
-		return err
-	}
-	t.snapshots[key] = img
-	return nil
+	return t.images.save(m.Dev(), key)
 }
 
 // Restore implements Tracker: restore the device image underneath the
@@ -301,7 +341,7 @@ func (t *DiskOnlyTracker) Checkpoint(key uint64) error {
 // the §3.2 corruption in action.
 func (t *DiskOnlyTracker) Restore(key uint64) error {
 	defer t.obs.beginRestore().end()
-	img, ok := t.snapshots[key]
+	img, ok := t.images.live[key]
 	if !ok {
 		return fmt.Errorf("tracker: no snapshot under key %d", key)
 	}
@@ -309,12 +349,13 @@ func (t *DiskOnlyTracker) Restore(key uint64) error {
 	if e != errno.OK {
 		return fmt.Errorf("tracker: %s not mounted", t.point)
 	}
-	delete(t.snapshots, key)
-	return m.Dev().Restore(img)
+	err := m.Dev().Restore(img)
+	t.images.drop(key)
+	return err
 }
 
 // Discard implements Tracker.
-func (t *DiskOnlyTracker) Discard(key uint64) { delete(t.snapshots, key) }
+func (t *DiskOnlyTracker) Discard(key uint64) { t.images.drop(key) }
 
 // PreOp implements Tracker.
 func (t *DiskOnlyTracker) PreOp() error { return nil }

@@ -7,6 +7,7 @@ import (
 	"mcfs/internal/blockdev"
 	"mcfs/internal/errno"
 	"mcfs/internal/fs/extfs"
+	"mcfs/internal/fs/jffs2sim"
 	"mcfs/internal/fs/verifs2"
 	"mcfs/internal/fuse"
 	"mcfs/internal/kernel"
@@ -15,23 +16,44 @@ import (
 	"mcfs/internal/vfs"
 )
 
-func extKernel(t *testing.T) (*kernel.Kernel, blockdev.Device) {
-	t.Helper()
+// deviceKernel mounts a fresh 256 KiB volume of kind (ext2, ext4 or
+// jffs2) at /mnt, the way a session does, and returns its device.
+func deviceKernel(tb testing.TB, kind string) (*kernel.Kernel, blockdev.Device) {
+	tb.Helper()
 	clk := simclock.New()
 	k := kernel.New(clk)
-	dev := blockdev.NewRAM("ram0", 256*1024, clk)
-	if err := extfs.Mkfs(dev, extfs.MkfsOptions{}); err != nil {
-		t.Fatal(err)
+	var spec kernel.FilesystemSpec
+	switch kind {
+	case "ext2", "ext4":
+		dev := blockdev.NewRAM("ram0", 256*1024, clk)
+		if err := extfs.Mkfs(dev, extfs.MkfsOptions{Journal: kind == "ext4"}); err != nil {
+			tb.Fatal(err)
+		}
+		mopts := extfs.MountOpts{Cache: extfs.NewMountCache()}
+		spec = kernel.FilesystemSpec{
+			Type:      kind,
+			Dev:       dev,
+			Mounter:   func() (vfs.FS, error) { return extfs.MountWith(dev, clk, mopts) },
+			Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
+		}
+	case "jffs2":
+		mtd := blockdev.NewMTD("mtd0", 256*1024, 8*1024, clk)
+		if err := jffs2sim.Mkfs(mtd); err != nil {
+			tb.Fatal(err)
+		}
+		spec = kernel.FilesystemSpec{
+			Type:      kind,
+			Dev:       blockdev.NewMTDBlock(mtd),
+			Mounter:   func() (vfs.FS, error) { return jffs2sim.Mount(mtd, clk) },
+			Unmounter: func(f vfs.FS) error { return f.(*jffs2sim.FS).Unmount() },
+		}
+	default:
+		tb.Fatalf("unknown kind %q", kind)
 	}
-	if err := k.Mount("/mnt", kernel.FilesystemSpec{
-		Type:      "ext2",
-		Dev:       dev,
-		Mounter:   func() (vfs.FS, error) { return extfs.Mount(dev, clk) },
-		Unmounter: func(f vfs.FS) error { return f.(*extfs.FS).Unmount() },
-	}, kernel.MountOptions{}); err != nil {
-		t.Fatal(err)
+	if err := k.Mount("/mnt", spec, kernel.MountOptions{}); err != nil {
+		tb.Fatal(err)
 	}
-	return k, dev
+	return k, spec.Dev
 }
 
 func veriKernel(t *testing.T) *kernel.Kernel {
@@ -95,12 +117,12 @@ func testRoundtrip(t *testing.T, k *kernel.Kernel, tr Tracker) {
 }
 
 func TestRemountTrackerRoundtrip(t *testing.T) {
-	k, _ := extKernel(t)
+	k, _ := deviceKernel(t, "ext2")
 	testRoundtrip(t, k, NewRemount(k, "/mnt", true))
 }
 
 func TestRemountTrackerNoPerOpRemounts(t *testing.T) {
-	k, _ := extKernel(t)
+	k, _ := deviceKernel(t, "ext2")
 	tr := NewRemount(k, "/mnt", false)
 	if err := tr.PreOp(); err != nil {
 		t.Fatal(err)
@@ -130,7 +152,7 @@ func TestVMSnapshotTrackerRoundtripAndLatency(t *testing.T) {
 }
 
 func TestRemountRestoreUnknownKey(t *testing.T) {
-	k, _ := extKernel(t)
+	k, _ := deviceKernel(t, "ext2")
 	tr := NewRemount(k, "/mnt", false)
 	if err := tr.Restore(42); err == nil {
 		t.Error("Restore(unknown) succeeded")
@@ -138,7 +160,7 @@ func TestRemountRestoreUnknownKey(t *testing.T) {
 }
 
 func TestRemountStateBytesIsDeviceSize(t *testing.T) {
-	k, dev := extKernel(t)
+	k, dev := deviceKernel(t, "ext2")
 	tr := NewRemount(k, "/mnt", false)
 	if got := tr.StateBytes(); got != dev.Size() {
 		t.Errorf("StateBytes = %d, want %d", got, dev.Size())
@@ -149,7 +171,7 @@ func TestDiskOnlyTrackerCorruptsVolume(t *testing.T) {
 	// Experiment E8 (§3.2): track only the persistent state, restore it
 	// under the live mount, keep operating — the volume ends up corrupt
 	// ("directory entries with corrupted or zeroed inodes").
-	k, dev := extKernel(t)
+	k, dev := deviceKernel(t, "ext2")
 	tr := NewDiskOnly(k, "/mnt")
 
 	writeFile(t, k, "/mnt/base", "base")
@@ -244,7 +266,7 @@ func TestCRIUSnapshotsNFSServer(t *testing.T) {
 }
 
 func TestCheckpointTrackerOnNonCheckpointer(t *testing.T) {
-	k, _ := extKernel(t)
+	k, _ := deviceKernel(t, "ext2")
 	tr := NewCheckpoint(k, "/mnt")
 	if err := tr.Checkpoint(1); err == nil {
 		t.Error("checkpoint API on ext2 succeeded")
@@ -252,7 +274,7 @@ func TestCheckpointTrackerOnNonCheckpointer(t *testing.T) {
 }
 
 func TestTrackerNames(t *testing.T) {
-	k, _ := extKernel(t)
+	k, _ := deviceKernel(t, "ext2")
 	clk := simclock.New()
 	names := map[string]Tracker{
 		"remount":          NewRemount(k, "/mnt", true),

@@ -461,7 +461,7 @@ type crashMedia struct {
 // regions the injector's touch log reports diverged, and recovered
 // states are digested over those regions for verdict memoization.
 func (s *Session) addCrashPlane(idx int, point string, ts TargetSpec, inj *fault.Injector,
-	spec kernel.FilesystemSpec, snapshot func() ([]byte, error), load func([]byte) error,
+	spec kernel.FilesystemSpec, snapshot func(dst []byte) ([]byte, error), load func([]byte) error,
 	media *crashMedia, strict bool, fsck func() []string) {
 
 	k := s.kern
@@ -483,7 +483,9 @@ func (s *Session) addCrashPlane(idx int, point string, ts TargetSpec, inj *fault
 		Injector: inj,
 		PreOp:    func() error { return k.Remount(point) },
 		PostOp:   func() error { return k.Remount(point) },
-		Snapshot: snapshot,
+		// Crash sessions keep their pre-op image for the whole window,
+		// so each snapshot gets a fresh buffer.
+		Snapshot: func() ([]byte, error) { return snapshot(nil) },
 		Restore: func(img []byte) error {
 			// A failed recovery leaves the point unmounted; roll the media
 			// back regardless and mount fresh.

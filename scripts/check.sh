@@ -8,11 +8,16 @@
 #   4. go test -race internal/mc + internal/obs     (swarm + hub + event
 #         (includes internal/obs/stream)             stream under the
 #                                                    race detector)
-#   5. bench smoke: every benchmark runs once       (catches bit-rotted
-#                                                    benchmarks; includes
+#   5. bench smoke: every benchmark in mc,          (catches bit-rotted
+#      blockdev, tracker and jffs2sim runs once      benchmarks; includes
 #                                                    the nil-obs and
 #                                                    swarm shared-vs-
-#                                                    independent pairs)
+#                                                    independent pairs and
+#                                                    the flash/remount
+#                                                    image round trips)
+#   5b. FuzzMount for 10s: arbitrary flash images   (the JFFS2 mount scan
+#       must mount deterministically, never panic,   reads untrusted
+#       never write the flash                        media in place)
 #   6. replay-determinism smoke: a seeded-bug run   (flight recorder end
 #      writes a repro bundle, mcfs replay must       to end: journal ->
 #      reproduce it, mcfs shrink must minimize it;   bundle -> replay ->
@@ -63,7 +68,13 @@ echo "==> go test -race ./internal/mc/... ./internal/obs/... (incl. internal/obs
 go test -race ./internal/mc/... ./internal/obs/...
 
 echo "==> bench smoke (one iteration per benchmark)"
-go test -bench . -benchtime 1x -run '^$' ./internal/mc/...
+go test -bench . -benchtime 1x -run '^$' ./internal/mc/... \
+	./internal/blockdev/... ./internal/tracker/... ./internal/fs/jffs2sim/...
+
+echo "==> fuzz smoke (FuzzMount, 10s)"
+# Minimizing an 8 KiB flash image can outlast the whole budget; cap it
+# so the time goes to new inputs.
+go test -run '^$' -fuzz '^FuzzMount$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fs/jffs2sim
 
 echo "==> replay-determinism smoke (run -> bundle -> replay -> shrink)"
 # go run remaps the child's exit code, so build the real binary.
